@@ -11,7 +11,7 @@ tracked across PRs. Run from the repo root::
 Outputs:
 
 - ``BENCH_kernels.json``  — kernel microbenchmarks (single + MC), the
-  fused-vs-unfused / MC-pairing / forced-int64 engine-mode rows, the
+  forced-int64 engine-mode row, the
   session-vs-direct-engine overhead row, serial-vs-thread-vs-process
   backend scaling rows for emulation *and* design sweeps (with session
   stats proving the pools engaged; ``cpus`` recorded honestly per row
@@ -81,7 +81,7 @@ def _best_of(fn, repeats):
 
 
 def _seed_fig3_sweep(batch, chunks, precisions, sources, rng):
-    """The seed run_fig3_sweep loop: one decode per (acc_fmt, precision)."""
+    """The seed Figure-3 sweep loop: one decode per (acc_fmt, precision)."""
     from repro.utils.rng import as_generator
 
     rng = as_generator(rng)
@@ -247,70 +247,30 @@ def bench_session(repeats):
 
 
 def bench_engine_modes(repeats):
-    """Engine-mode rows: where kernel fusion and int64 packing pay off.
-
-    ``fused_vs_unfused`` replays the full Figure-3 precision ladder (one
-    packed operand pair, all single-cycle widths) through the fused and
-    unfused numpy engines; ``mc_pairing`` does the same for multi-cycle
-    points, where the fused path also packs two 4-bit cycles into one
-    int64 lane whenever the adder-tree words provably fit;
-    ``int64_vs_int32`` pins the cost of forcing the wide work dtype on a
-    point the engine would otherwise run in int32 (why auto-selection
-    matters). Every pair of timings must be bit-identical.
+    """Engine-mode row: ``int64_vs_int32`` pins the cost of forcing the wide
+    work dtype on a point the engine would otherwise run in int32 (why
+    auto-selection matters). Both timings must be bit-identical.
     """
     rng = np.random.default_rng(3)
     pa = pack_operands(rng.laplace(0, 1, (KERNEL_BATCH, 16)), FP16)
     pb = pack_operands(rng.laplace(0, 1, (KERNEL_BATCH, 16)), FP16)
-
-    def run(points, engine=None, work_dtype=None):
-        return fp_ip_points(pa, pb, points, work_dtype=work_dtype, engine=engine)
-
-    def identical(xs, ys):
-        return bool(all(
-            np.array_equal(x.values, y.values)
-            and np.array_equal(x.rounded, y.rounded)
-            and np.array_equal(x.total_cycles, y.total_cycles)
-            for x, y in zip(xs, ys)
-        ))
-
-    out = {}
-    fig3_points = [KernelPoint(w) for w in FIG3_CONFIG["precisions"]]
-    fused_s, fused = _best_of(lambda: run(fig3_points), repeats)
-    unfused_s, unfused = _best_of(lambda: run(fig3_points, "numpy-unfused"),
-                                  repeats)
-    out["fused_vs_unfused"] = {
-        "batch": KERNEL_BATCH, "n": 16, "cpus": _cpus(),
-        "points": [p.adder_width for p in fig3_points],
-        "unfused_seconds": round(unfused_s, 4),
-        "fused_seconds": round(fused_s, 4),
-        "speedup": round(unfused_s / fused_s, 2),
-        "identical": identical(fused, unfused),
-    }
-
-    mc_points = [KernelPoint(w, 28, multi_cycle=True) for w in (10, 12, 16, 20)]
-    mcf_s, mcf = _best_of(lambda: run(mc_points), repeats)
-    mcu_s, mcu = _best_of(lambda: run(mc_points, "numpy-unfused"), repeats)
-    out["mc_pairing"] = {
-        "batch": KERNEL_BATCH, "n": 16, "cpus": _cpus(),
-        "points": [p.adder_width for p in mc_points],
-        "software_precision": 28, "multi_cycle": True,
-        "unfused_seconds": round(mcu_s, 4),
-        "fused_seconds": round(mcf_s, 4),
-        "speedup": round(mcu_s / mcf_s, 2),
-        "identical": identical(mcf, mcu),
-    }
-
     w16 = [KernelPoint(16)]
-    i32_s, i32 = _best_of(lambda: run(w16), repeats)
-    i64_s, i64 = _best_of(lambda: run(w16, work_dtype=np.int64), repeats)
-    out["int64_vs_int32"] = {
+    i32_s, i32 = _best_of(lambda: fp_ip_points(pa, pb, w16), repeats)
+    i64_s, i64 = _best_of(
+        lambda: fp_ip_points(pa, pb, w16, work_dtype=np.int64), repeats)
+    identical = bool(all(
+        np.array_equal(x.values, y.values)
+        and np.array_equal(x.rounded, y.rounded)
+        and np.array_equal(x.total_cycles, y.total_cycles)
+        for x, y in zip(i32, i64)
+    ))
+    return {"int64_vs_int32": {
         "batch": KERNEL_BATCH, "n": 16, "adder_width": 16, "cpus": _cpus(),
         "int32_seconds": round(i32_s, 4),
         "int64_seconds": round(i64_s, 4),
         "int64_cost": round(i64_s / i32_s, 2),
-        "identical": identical(i32, i64),
-    }
-    return out
+        "identical": identical,
+    }}
 
 
 def bench_chunk_block(repeats):
@@ -783,9 +743,6 @@ def main(argv=None) -> int:
             if "seed_seconds" in r:
                 print(f"  seed {r['seed_seconds']}s -> engine {r['engine_seconds']}s "
                       f"({r['speedup']}x, results {mark})")
-            elif "unfused_seconds" in r:
-                print(f"  unfused {r['unfused_seconds']}s -> fused "
-                      f"{r['fused_seconds']}s ({r['speedup']}x, results {mark})")
             elif "int32_seconds" in r:
                 print(f"  int32 {r['int32_seconds']}s -> forced int64 "
                       f"{r['int64_seconds']}s ({r['int64_cost']}x cost, "

@@ -8,7 +8,6 @@ from repro.analysis.sweeps import (
     PrecisionSweep,
     SweepPoint,
     recommended_min_precision,
-    run_fig3_sweep,
 )
 
 __all__ = [
@@ -16,5 +15,5 @@ __all__ = [
     "ErrorStats", "contaminated_bits", "error_stats",
     "ShiftHistogram", "alignment_histogram", "histogram_from_model",
     "DEFAULT_PRECISIONS", "PrecisionSweep", "SweepPoint",
-    "recommended_min_precision", "run_fig3_sweep",
+    "recommended_min_precision",
 ]

@@ -12,17 +12,14 @@ style and plain CNNs.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.analysis.error import ErrorStats
-from repro.fp.formats import FP16, FP32, FPFormat
 from repro.nn.sampling import sample_operand_batch
-from repro.utils.rng import as_generator
 
-__all__ = ["SweepPoint", "PrecisionSweep", "run_fig3_sweep", "model_tensor_operands",
+__all__ = ["SweepPoint", "PrecisionSweep", "model_tensor_operands",
            "DEFAULT_PRECISIONS", "recommended_min_precision"]
 
 DEFAULT_PRECISIONS = (8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30, 34, 38)
@@ -86,40 +83,6 @@ def _operands_for(source: str, batch: int, n: int, rng) -> tuple[np.ndarray, np.
     if source.startswith(TENSOR_DUMP_PREFIX):
         return tensor_dump_operands(source, batch, n, rng)
     raise ValueError(f"unknown source {source!r}")
-
-
-def run_fig3_sweep(
-    sources: tuple[str, ...] = ("laplace", "normal", "uniform", "resnet-tensors", "convnet-tensors"),
-    precisions: tuple[int, ...] = DEFAULT_PRECISIONS,
-    acc_fmts: tuple[FPFormat, ...] = (FP16, FP32),
-    batch: int = 20000,
-    n: int = 16,
-    chunks: int = 1,
-    rng=None,
-) -> PrecisionSweep:
-    """Deprecated shim: the Figure-3 grid through a throwaway session.
-
-    Build a :class:`repro.api.RunSpec` and call
-    :meth:`repro.api.EmulationSession.sweep` instead — a session shares
-    operand plans across sweeps, streams the kernels chunk by chunk
-    (million-sample batches stay memory-bounded), and can parallelize them
-    across an execution backend. This wrapper constructs the equivalent
-    spec and produces bit-identical results (asserted by the
-    deprecation-shim tests).
-    """
-    warnings.warn(
-        "run_fig3_sweep is deprecated; build a repro.api.RunSpec and call "
-        "EmulationSession.sweep",
-        DeprecationWarning, stacklevel=2,
-    )
-    from repro.api import EmulationSession, RunSpec
-
-    spec = RunSpec.grid(
-        precisions=tuple(precisions),
-        accumulators=tuple(f.name for f in acc_fmts),
-        sources=tuple(sources), batch=batch, n=n, chunks=chunks,
-    )
-    return EmulationSession().sweep(spec, rng=as_generator(rng))
 
 
 def recommended_min_precision(sweep: PrecisionSweep, acc_fmt: str, tol_bits: float = 0.5) -> int:

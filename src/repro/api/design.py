@@ -545,11 +545,10 @@ class DesignSession:
     def _report_fingerprint(self, point: DesignPoint,
                             accuracy: RunSpec | None = None) -> str:
         """Store key for one report: the point plus the accuracy protocol
-        (minus its ignored ``points``/``name``/``executor`` fields —
-        ``engine`` too, engines being bit-identical)."""
+        (minus its ignored ``points``/``name``/``executor`` fields)."""
         template = self.accuracy_spec if accuracy is None else accuracy
         accuracy_dict = template.to_dict()
-        for field_ in ("name", "executor", "engine", "points"):
+        for field_ in ("name", "executor", "points"):
             accuracy_dict.pop(field_, None)
         return _result_key({"design_report": point.fingerprint(),
                             "accuracy": accuracy_dict})

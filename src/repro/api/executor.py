@@ -215,8 +215,8 @@ class SerialExecutor:
         self.worker_restarts = 0
         self.chunks_redispatched = 0
 
-    def run_points(self, pa, pb, points, shape, chunk_rows=None, engine=None):
-        return fp_ip_points(pa, pb, points, chunk_rows=chunk_rows, engine=engine)
+    def run_points(self, pa, pb, points, shape, chunk_rows=None):
+        return fp_ip_points(pa, pb, points, chunk_rows=chunk_rows)
 
     def map(self, fn, items) -> list:
         return [fn(item) for item in items]
@@ -257,19 +257,18 @@ class ThreadExecutor:
                     max_workers=self.workers, thread_name_prefix="repro-exec")
             return self._pool
 
-    def run_points(self, pa, pb, points, shape, chunk_rows=None, engine=None):
+    def run_points(self, pa, pb, points, shape, chunk_rows=None):
         dim0 = shape[0]
         inner = int(np.prod(shape[1:-1], dtype=np.int64))
         spans = chunk_spans(dim0, inner, shape[-1], self.workers, chunk_rows)
         if len(spans) <= 1:
-            return fp_ip_points(pa, pb, points, chunk_rows=chunk_rows, engine=engine)
+            return fp_ip_points(pa, pb, points, chunk_rows=chunk_rows)
         pool = self._ensure_pool()
         state = trace_capture()
         if state is None:  # disarmed fast path: submit the kernel directly
             futures = [
                 pool.submit(fp_ip_points, _slab(pa, shape, lo, hi),
-                            _slab(pb, shape, lo, hi), points, chunk_rows,
-                            None, engine)
+                            _slab(pb, shape, lo, hi), points, chunk_rows)
                 for lo, hi in spans
             ]
         else:
@@ -278,7 +277,7 @@ class ThreadExecutor:
                         "executor.chunk", backend="thread", lo=lo, hi=hi):
                     return fp_ip_points(_slab(pa, shape, lo, hi),
                                         _slab(pb, shape, lo, hi), points,
-                                        chunk_rows=chunk_rows, engine=engine)
+                                        chunk_rows=chunk_rows)
             futures = [pool.submit(traced, lo, hi) for lo, hi in spans]
         with self._lock:
             self.tasks_dispatched += len(futures)
@@ -428,7 +427,7 @@ def _release_plan(shm: shared_memory.SharedMemory) -> None:
 
 
 def _kernel_task(desc_a, desc_b, shape, lo, hi, points, chunk_rows, own_tracker,
-                 engine, result, crash=False, trace=None):
+                 result, crash=False, trace=None):
     """One span of fp_ip_points against shared-memory operand plans.
 
     ``result`` describes the parent's preallocated result block; the span's
@@ -458,15 +457,15 @@ def _kernel_task(desc_a, desc_b, shape, lo, hi, points, chunk_rows, own_tracker,
             with trace_span("executor.chunk", backend="process",
                             lo=lo, hi=hi):
                 _kernel_task_body(desc_a, desc_b, shape, lo, hi, points,
-                                  chunk_rows, own_tracker, engine, result)
+                                  chunk_rows, own_tracker, result)
         return {"trace_spans": collected}
     _kernel_task_body(desc_a, desc_b, shape, lo, hi, points, chunk_rows,
-                      own_tracker, engine, result)
+                      own_tracker, result)
     return None
 
 
 def _kernel_task_body(desc_a, desc_b, shape, lo, hi, points, chunk_rows,
-                      own_tracker, engine, result):
+                      own_tracker, result):
     shape = tuple(shape)
     shm_a, pa = _attach_plan(desc_a, own_tracker)
     shm_b, pb = _attach_plan(desc_b, own_tracker)
@@ -481,8 +480,7 @@ def _kernel_task_body(desc_a, desc_b, shape, lo, hi, points, chunk_rows,
             tuple(a[lo * inner:hi * inner] for a in slot)
             for slot in _result_views(mm, result["layout"], result["rows"])
         ]
-        fp_ip_points(slab_a, slab_b, points, chunk_rows=chunk_rows,
-                     engine=engine, out=slots)
+        fp_ip_points(slab_a, slab_b, points, chunk_rows=chunk_rows, out=slots)
         return None
     finally:
         del pa, pb
@@ -682,12 +680,12 @@ class ProcessExecutor:
         except OSError:
             pass
 
-    def run_points(self, pa, pb, points, shape, chunk_rows=None, engine=None):
+    def run_points(self, pa, pb, points, shape, chunk_rows=None):
         dim0 = shape[0]
         inner = int(np.prod(shape[1:-1], dtype=np.int64))
         spans = chunk_spans(dim0, inner, shape[-1], self.workers, chunk_rows)
         if len(spans) <= 1:
-            return fp_ip_points(pa, pb, points, chunk_rows=chunk_rows, engine=engine)
+            return fp_ip_points(pa, pb, points, chunk_rows=chunk_rows)
         pool = self._ensure_pool()
         with self._lock:
             if self._scope_depth == 0:
@@ -721,8 +719,8 @@ class ProcessExecutor:
             def submit(to_pool, span, crash=False):
                 return to_pool.submit(_kernel_task, desc_a, desc_b,
                                       tuple(shape), span[0], span[1], points,
-                                      chunk_rows, own_tracker, engine,
-                                      result_desc, crash, wire)
+                                      chunk_rows, own_tracker, result_desc,
+                                      crash, wire)
 
             jobs = []
             for index, span in enumerate(spans):

@@ -11,6 +11,10 @@ The *hardware* half mirrors the same pattern: :class:`DesignSpec` and
 accuracy x efficiency coordinate the paper's Table 1 argues about), and a
 :class:`DesignSweepSpec` crosses whole grids — replayable with
 ``runner --design-spec spec.json``.
+
+Spec JSON from before the kernel engine became fixed may carry an
+``"engine"`` key; :meth:`RunSpec.from_dict` drops it, since every engine
+produced the same bits.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from pathlib import Path
 from repro.fp.registry import AccumulatorSpec, parse_accumulator, parse_format
 from repro.hw.designs import TABLE1_PRECISIONS, Design
 from repro.hw.registry import format_tile, parse_design, parse_tile, register_design
-from repro.ipu.engine import ENGINES, KernelPoint
+from repro.ipu.engine import KernelPoint
 from repro.store.fingerprint import fingerprint as _fingerprint
 from repro.tile.config import TileConfig
 
@@ -54,14 +58,12 @@ def _load_spec_json(source: str | Path) -> dict:
 
 def _result_fingerprint(tag: str, d: dict) -> str:
     """Stable result key for a spec dict: drops the fields that never change
-    results (``name`` labels output, ``executor`` and ``engine`` only change
-    wall-clock — all kernel engines are bit-identical), so replays of one
-    grid land on one store entry / one coalesced request regardless of
-    presentation or backend/engine choice."""
+    results (``name`` labels output, ``executor`` only changes wall-clock),
+    so replays of one grid land on one store entry / one coalesced request
+    regardless of presentation or backend choice."""
     d = dict(d)
     d.pop("name", None)
     d.pop("executor", None)
-    d.pop("engine", None)
     return _fingerprint({tag: d})
 
 
@@ -133,14 +135,6 @@ class RunSpec:
     ``session.sweep`` runs on the session's backend regardless (pass
     ``EmulationSession(backend=spec.executor)`` to honor it). The backend
     never changes results — only wall-clock.
-
-    ``engine`` optionally pins the kernel engine
-    (:data:`repro.ipu.engine.ENGINES`: ``"numpy"`` / ``"numpy-unfused"`` /
-    ``"compiled"``). Unlike ``executor``, this field *is* honored by
-    ``session.sweep`` directly (overriding the session's engine) — engines
-    are bit-identical, so like the backend it never changes results, and
-    both are excluded from the result fingerprint. ``"compiled"`` falls
-    back to ``"numpy"`` when numba is absent.
     """
 
     name: str = "sweep"
@@ -152,7 +146,6 @@ class RunSpec:
     chunks: int = 1
     seed: int = 0
     executor: ExecutorSpec | None = None
-    engine: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sources", tuple(self.sources))
@@ -162,13 +155,10 @@ class RunSpec:
         ))
         if self.executor is not None and not isinstance(self.executor, ExecutorSpec):
             object.__setattr__(self, "executor", ExecutorSpec.from_dict(self.executor))
-        if self.engine is not None and self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; expected one of {ENGINES}")
         for source in self.sources:
             if source.startswith("mixture:"):
-                # fail on malformed mixture grammars at spec build time, like
-                # unknown engines — not halfway through a sweep
+                # fail on malformed mixture grammars at spec build time —
+                # not halfway through a sweep
                 from repro.nn.sampling import parse_mixture_source
 
                 parse_mixture_source(source)
@@ -220,6 +210,9 @@ class RunSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "RunSpec":
         d = dict(d)
+        # specs written when the kernel engine was selectable carry an
+        # "engine" key; every engine produced the same bits, so drop it
+        d.pop("engine", None)
         d["points"] = tuple(PrecisionPoint.from_dict(p) for p in d.get("points", ()))
         d["sources"] = tuple(d.get("sources", DEFAULT_SOURCES))
         return cls(**d)
@@ -476,7 +469,12 @@ class DesignSweepSpec:
     def fingerprint(self) -> str:
         """Stable cross-process result key for the whole grid (``name`` and
         ``executor`` excluded — see :meth:`RunSpec.fingerprint`)."""
-        return _result_fingerprint("design_sweep_spec", self.to_dict())
+        d = self.to_dict()
+        if "accuracy" in d:
+            # keys of stored results were minted while the embedded RunSpec
+            # still serialized an (always null) "engine" field
+            d["accuracy"]["engine"] = None
+        return _result_fingerprint("design_sweep_spec", d)
 
     # -- JSON round trip ---------------------------------------------------
 

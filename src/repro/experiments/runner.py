@@ -128,18 +128,14 @@ def _session_executor(spec_executor, backend: str | None, workers: int | None):
 
 
 def _run_spec(path: str, workers: int | None, backend: str | None = None,
-              store: str | None = None, engine: str | None = None) -> str:
+              store: str | None = None) -> str:
     """Replay a declarative RunSpec JSON through an emulation session."""
-    from dataclasses import replace
-
     from repro.api import EmulationSession, RunSpec, render_sweep
 
     try:  # bad files/specs exit cleanly; sweep bugs must keep their traceback
         spec = RunSpec.from_json(path)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise SystemExit(f"cannot load spec {path!r}: {exc}")
-    if engine is not None:  # CLI overrides the spec's pinned engine
-        spec = replace(spec, engine=engine)
     executor = _session_executor(spec.executor, backend, workers)
     with EmulationSession(backend=executor, store=store) as session:
         sweep = session.sweep(spec)
@@ -381,11 +377,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="execution backend for --spec/--design-spec/--serve "
                              "runs (overrides the spec's executor field; results "
                              "are bit-identical across backends)")
-    parser.add_argument("--engine", choices=("numpy", "numpy-unfused", "compiled"),
-                        default=None,
-                        help="kernel engine for --spec runs (overrides the "
-                             "spec's engine field; engines are bit-identical — "
-                             "'compiled' needs numba and falls back to numpy)")
     parser.add_argument("--store", metavar="DIR", default=None,
                         help="persistent result store directory for --spec/"
                              "--design-spec/--search/--serve runs (warm replays "
@@ -471,7 +462,6 @@ def main(argv: list[str] | None = None) -> int:
     for flag, on, needs in (
         ("--backend", args.backend is not None, session_modes),
         ("--workers", args.workers is not None, session_modes),
-        ("--engine", args.engine is not None, {"--spec"}),
         ("--store", args.store is not None, session_modes),
         ("--port", args.port is not None, {"--serve"}),
         ("--host", args.host is not None, {"--serve"}),
@@ -506,8 +496,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.fleet is not None:
         # --store stays allowed: it backs the coordinator's warm-shard cache
         for flag, on in (("--backend", args.backend is not None),
-                         ("--workers", args.workers is not None),
-                         ("--engine", args.engine is not None)):
+                         ("--workers", args.workers is not None)):
             if on:
                 print(f"{flag} does not apply to --fleet runs (session "
                       "configuration lives on the service instances)",
@@ -582,7 +571,7 @@ def _dispatch(args, parser) -> int:
         try:
             if args.spec is not None:
                 output, stats = _run_spec(path, args.workers, args.backend,
-                                          args.store, args.engine)
+                                          args.store)
             else:
                 output, stats = _run_design_spec(path, args.workers,
                                                  args.backend, args.store)

@@ -4,6 +4,7 @@ from repro.ipu.accumulator import ACC_FRACTION_BITS, Accumulator
 from repro.ipu.datapath import AdderTree, LocalShifter, SignedMultiplier5x5
 from repro.ipu.ehu import AlignmentPlan, ExponentHandlingUnit, mc_cycle_counts, serve_cycles
 from repro.ipu.engine import (
+    FPIPBatchResult,
     KernelPoint,
     PackedOperands,
     fp_ip_packed,
@@ -25,7 +26,6 @@ from repro.ipu.theory import (
     safe_precision,
     theorem1_bound,
 )
-from repro.ipu.vectorized import FPIPBatchResult, fp_ip_batch
 
 __all__ = [
     "ACC_FRACTION_BITS", "Accumulator",
@@ -36,6 +36,6 @@ __all__ = [
     "cpu_fp32_dot", "cpu_fp32_dot_batch", "exact_fp_ip", "masked_exact_fp_ip",
     "MAX_FP16_PRODUCT_SHIFT", "PRODUCT_MAGNITUDE_BITS",
     "min_adder_width_for_exact", "safe_precision", "theorem1_bound",
-    "FPIPBatchResult", "fp_ip_batch",
+    "FPIPBatchResult",
     "KernelPoint", "PackedOperands", "fp_ip_packed", "fp_ip_points", "pack_operands",
 ]

@@ -1,8 +1,8 @@
 """Prepacked IPU emulation engine: decode-once plans + fused diagonal kernels.
 
-The seed emulation (:func:`repro.ipu.vectorized.fp_ip_batch`) re-decodes and
-re-nibbles its operands on every call, which makes large sweeps pay the FP
-decode (~half the runtime) once per *sweep point* instead of once per
+The seed emulation (:func:`repro.ipu.seedref.fp_ip_batch_seed`) re-decodes
+and re-nibbles its operands on every call, which makes large sweeps pay the
+FP decode (~half the runtime) once per *sweep point* instead of once per
 *tensor*. This module separates operand preparation from kernel execution:
 
 ``PackedOperands``
@@ -20,34 +20,23 @@ decode (~half the runtime) once per *sweep point* instead of once per
     sums, alignment shifts) is computed once and shared by all points, and
     each point then runs the nibble kernel while the chunk is hot in cache.
 
-Three engines implement the kernel (selected by the ``engine`` argument or
-the ``REPRO_ENGINE`` environment variable; see :func:`resolve_engine`):
+The kernels are **fused**. One work tensor of shape ``(K, K, rows, n)``
+holds every nibble pass of a chunk with the pass axes outermost, so each
+numpy op streams long contiguous lanes instead of 9 short strided passes.
+All single-cycle points of one work dtype share a single product tensor
+computed at the *highest* safe precision of the group; each lower precision
+is derived by one scalar in-place shift, which is exact because nested
+floors compose (``floor(floor(x/2^a)/2^b) == floor(x/2^(a+b))``). Per-point
+lane masking folds into the reduction (``einsum("ijkl,kl->ijk")``), so no
+masked temporary is ever materialized. The MC serve loop hoists the product
+out of the cycle loop and, when the adder-tree words provably fit (see
+``_pair_headroom``), serves two cycles per numpy op by scaling the earlier
+cycle's words into the high bits of the shared lanes (int64 multi-nibble
+packing). One buffer pool is reused across all chunks and points of a call.
 
-``numpy`` (default) — the **fused** kernels. One work tensor of shape
-    ``(K, K, rows, n)`` holds every nibble pass of a chunk with the pass
-    axes outermost, so each numpy op streams long contiguous lanes instead
-    of 9 short strided passes. All single-cycle points of one work dtype
-    share a single product tensor computed at the *highest* safe precision
-    of the group; each lower precision is derived by one scalar in-place
-    shift, which is exact because nested floors compose
-    (``floor(floor(x/2^a)/2^b) == floor(x/2^(a+b))``). Per-point lane
-    masking folds into the reduction (``einsum("ijkl,kl->ijk")``), so no
-    masked temporary is ever materialized. The MC serve loop hoists the
-    product out of the cycle loop and, when the adder-tree words provably
-    fit (see ``_pair_headroom``), serves two cycles per numpy op by scaling
-    the earlier cycle's words into the high bits of the shared lanes
-    (int64 multi-nibble packing). One buffer pool is reused across all
-    chunks and points of a call.
-
-``numpy-unfused`` — the previous per-pass kernels, kept as the reference
-    implementation and the baseline for the fused-vs-unfused benchmark rows.
-
-``compiled`` — optional numba-jitted scalar core
-    (:mod:`repro.ipu.engine_compiled`); falls back to ``numpy`` when numba
-    is not installed. Bit-identical by the parity suite.
-
-Every engine is bit-identical to the scalar golden model in
-:mod:`repro.ipu.ipu`: register shifts of nibble pass ``(i, j)`` depend only
+The kernels are bit-identical to the scalar golden model in
+:mod:`repro.ipu.ipu` and to the frozen seed kernel in
+:mod:`repro.ipu.seedref`: register shifts of nibble pass ``(i, j)`` depend only
 on the diagonal ``d = i + j``; left register shifts (exact) may group a
 diagonal's adder-tree results before one register update, while right
 shifts floor *per pass* exactly as the golden accumulator does. The whole
@@ -58,7 +47,6 @@ precisions; the int32 gate only selects the storage width.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,11 +68,6 @@ __all__ = [
     "fp_ip_points",
     "DEFAULT_CHUNK_ELEMENTS",
     "default_chunk_rows",
-    "ENGINES",
-    "DEFAULT_ENGINE",
-    "resolve_engine",
-    "available_engines",
-    "compiled_available",
 ]
 
 # Per-chunk work buffers are (rows, n) in int32/int64; 64Ki elements keeps
@@ -103,43 +86,6 @@ def default_chunk_rows(n: int) -> int:
     """Result rows per work chunk so one chunk holds DEFAULT_CHUNK_ELEMENTS
     lane elements. Every chunked consumer sizes its blocks from this."""
     return max(1, DEFAULT_CHUNK_ELEMENTS // max(n, 1))
-
-
-# -- engine selection ---------------------------------------------------------
-
-ENGINES = ("numpy", "numpy-unfused", "compiled")
-DEFAULT_ENGINE = "numpy"
-
-
-def compiled_available() -> bool:
-    """True when the numba-compiled kernel core can actually run."""
-    from repro.ipu import engine_compiled
-
-    return engine_compiled.available()
-
-
-def available_engines() -> tuple[str, ...]:
-    """The engine names that will run on this host (no silent fallback)."""
-    names = ["numpy", "numpy-unfused"]
-    if compiled_available():
-        names.append("compiled")
-    return tuple(names)
-
-
-def resolve_engine(engine: str | None = None) -> str:
-    """Resolve an engine request to a runnable engine name.
-
-    ``None`` consults ``REPRO_ENGINE`` and falls back to the default.
-    Requesting ``compiled`` without numba resolves to ``numpy`` (graceful
-    fallback — the engines are bit-identical, so this never changes
-    results, only speed). Unknown names raise.
-    """
-    name = engine if engine is not None else (os.environ.get("REPRO_ENGINE") or DEFAULT_ENGINE)
-    if name not in ENGINES:
-        raise ValueError(f"unknown engine {name!r}; expected one of {ENGINES}")
-    if name == "compiled" and not compiled_available():
-        return DEFAULT_ENGINE
-    return name
 
 
 @dataclass
@@ -164,7 +110,7 @@ class FPIPBatchResult:
 class KernelPoint:
     """One kernel configuration: IPU precision, serve mode, output rounding.
 
-    Semantics match :func:`repro.ipu.vectorized.fp_ip_batch`:
+    Semantics match :func:`repro.ipu.seedref.fp_ip_batch_seed`:
     ``software_precision`` defaults to ``adder_width`` (the Figure-3
     single-cycle convention) and ``multi_cycle`` engages the MC serve loop
     when the adder is narrower than the software precision.
@@ -198,10 +144,6 @@ class _ResolvedPoint:
     @property
     def up(self) -> int:
         return max(self.sp, 0)
-
-    @property
-    def down(self) -> int:
-        return max(-self.sp, 0)
 
     def work_dtype(self, n: int):
         """int32 when every adder-tree word and its n-lane sum provably fit.
@@ -346,11 +288,10 @@ def fp_ip_packed(
     acc_fmt: FPFormat = FP32,
     multi_cycle: bool = False,
     chunk_rows: int | None = None,
-    engine: str | None = None,
 ) -> FPIPBatchResult:
     """Emulate one kernel configuration over a packed operand pair."""
     point = KernelPoint(adder_width, software_precision, multi_cycle, acc_fmt)
-    return fp_ip_points(pa, pb, [point], chunk_rows=chunk_rows, engine=engine)[0]
+    return fp_ip_points(pa, pb, [point], chunk_rows=chunk_rows)[0]
 
 
 def fp_ip_points(
@@ -359,7 +300,6 @@ def fp_ip_points(
     points: list[KernelPoint],
     chunk_rows: int | None = None,
     work_dtype=None,
-    engine: str | None = None,
     out: list[tuple[np.ndarray, ...]] | None = None,
 ) -> list[FPIPBatchResult]:
     """Run every kernel point against one operand pair, chunk by chunk.
@@ -367,8 +307,7 @@ def fp_ip_points(
     ``pa``/``pb`` broadcast against each other over their leading axes (a
     single weight plan row against a batch of activation plans, say); the
     results carry the broadcast leading shape. ``work_dtype`` overrides the
-    int32/int64 selection (testing hook). ``engine`` picks the kernel
-    implementation (:func:`resolve_engine`).
+    int32/int64 selection (testing hook).
 
     ``out``, when given, is one 5-tuple of preallocated flat arrays per
     point — ``(values, rounded, max_exp, alignment_cycles, total_cycles)``,
@@ -379,7 +318,6 @@ def fp_ip_points(
     """
     if pa.fmt.name != pb.fmt.name:
         raise ValueError(f"operand formats differ: {pa.fmt.name} vs {pb.fmt.name}")
-    engine_name = resolve_engine(engine)
     fmt = pa.fmt
     k_total = pa.k_total
     frac = -2 * fp_nibble_weight_exp(fmt, 0)
@@ -443,48 +381,28 @@ def fp_ip_points(
         regs: list[np.ndarray | None] = [None] * len(resolved)
         n_aligns: list[np.ndarray | None] = [None] * len(resolved)
 
-        if engine_name == "numpy-unfused":
-            na = np.ascontiguousarray(a_nib[start:stop]).reshape(-1, n, k_total).astype(np.int32)
-            nb = np.ascontiguousarray(b_nib[start:stop]).reshape(-1, n, k_total).astype(np.int32)
-            np.negative(na, out=na, where=neg[:, :, None])
-            for idx, r in enumerate(resolved):
-                dtype = _as_dtype(work_dtype) or r.work_dtype(n)
-                if r.multi_cycle:
-                    regs[idx], n_aligns[idx] = _mc_chunk(
-                        na, nb, shifts, safe_shift, r, frac, k_total, dtype)
-                else:
-                    regs[idx] = _single_cycle_chunk(
-                        na, nb, shifts, safe_shift, r, frac, k_total, dtype)
-        else:
-            # plane layout (K, cb, n): every nibble pass is a long
-            # contiguous lane run, which is what the fused ops stream
-            na_p = np.ascontiguousarray(
-                a_nib[start:stop].reshape(-1, n, k_total).transpose(2, 0, 1),
-                dtype=np.int32)
-            nb_p = np.ascontiguousarray(
-                b_nib[start:stop].reshape(-1, n, k_total).transpose(2, 0, 1),
-                dtype=np.int32)
-            np.negative(na_p, out=na_p, where=neg[None, :, :])
-            if engine_name == "compiled":
-                from repro.ipu import engine_compiled
-
-                engine_compiled.chunk_registers(
-                    na_p, nb_p, shifts, safe_shift, resolved, frac, k_total,
-                    regs, n_aligns)
+        # plane layout (K, cb, n): every nibble pass is a long contiguous
+        # lane run, which is what the fused ops stream
+        na_p = np.ascontiguousarray(
+            a_nib[start:stop].reshape(-1, n, k_total).transpose(2, 0, 1),
+            dtype=np.int32)
+        nb_p = np.ascontiguousarray(
+            b_nib[start:stop].reshape(-1, n, k_total).transpose(2, 0, 1),
+            dtype=np.int32)
+        np.negative(na_p, out=na_p, where=neg[None, :, :])
+        groups: dict[type, list[tuple[int, _ResolvedPoint]]] = {}
+        for idx, r in enumerate(resolved):
+            dtype = _as_dtype(work_dtype) or r.work_dtype(n)
+            if r.multi_cycle:
+                regs[idx], n_aligns[idx] = _mc_fused(
+                    na_p, nb_p, shifts, safe_shift, r, frac, k_total,
+                    dtype, bufs)
             else:
-                groups: dict[type, list[tuple[int, _ResolvedPoint]]] = {}
-                for idx, r in enumerate(resolved):
-                    dtype = _as_dtype(work_dtype) or r.work_dtype(n)
-                    if r.multi_cycle:
-                        regs[idx], n_aligns[idx] = _mc_fused(
-                            na_p, nb_p, shifts, safe_shift, r, frac, k_total,
-                            dtype, bufs)
-                    else:
-                        groups.setdefault(dtype, []).append((idx, r))
-                for dtype, members in groups.items():
-                    _single_cycle_fused(
-                        na_p, nb_p, shifts, safe_shift, members, frac, k_total,
-                        dtype, bufs, regs)
+                groups.setdefault(dtype, []).append((idx, r))
+        for dtype, members in groups.items():
+            _single_cycle_fused(
+                na_p, nb_p, shifts, safe_shift, members, frac, k_total,
+                dtype, bufs, regs)
 
         for idx, r in enumerate(resolved):
             register = regs[idx]
@@ -549,7 +467,7 @@ class _ChunkBuffers:
 
     Keyed by (shape, dtype, tag) so the product tensor, its scratch twin,
     and the tree accumulator each persist across iterations instead of
-    being reallocated per pass (the unfused engine's biggest fixed cost).
+    being reallocated per pass.
     Buffers are handed out as-is — every consumer fully overwrites what it
     reads — so reuse cannot alias into results.
     """
@@ -637,8 +555,8 @@ def _pair_headroom(n: int, up: int, sp: int, dtype) -> bool:
     """True when two serve cycles can share one lane word: scaling the
     earlier cycle's lane words by ``2**sp`` must leave the *n-lane
     adder-tree sum* provably inside the work dtype (the reductions run in
-    the work dtype, unlike the unfused kernels' int64 sums), mirroring
-    ``work_dtype``'s gate extended by ``sp`` bits."""
+    the work dtype, not in int64), mirroring ``work_dtype``'s gate extended
+    by ``sp`` bits."""
     cap_bits, bound = (22, 2**31) if dtype is np.int32 else (53, 2**63)
     return up + sp <= cap_bits and (n * _PRODUCT_MAG) << (up + sp) < bound
 
@@ -738,85 +656,3 @@ def _mc_fused(na_p, nb_p, shifts, safe_shift, r, frac, k_total, dtype, bufs):
         c += 2
     return register, n_align
 
-
-# -- unfused reference kernels (the previous engine) --------------------------
-
-def _single_cycle_chunk(na, nb, shifts, safe_shift, r, frac, k_total, dtype):
-    """Truncating single-cycle kernel over one chunk; returns the registers.
-
-    Masked lanes are zeroed in the nibble operand once, the safe-precision
-    pre-shift is folded into the operand (one pass instead of nine), and the
-    nine nibble passes run grouped by diagonal.
-    """
-    sw, sp, up, down = r.software_precision, r.sp, r.up, r.down
-    masked = shifts >= sw
-    na_pt = np.where(masked[:, :, None], 0, na)
-    if dtype is np.int64:
-        na_pt = na_pt.astype(np.int64)
-    if up:
-        na_pt <<= up
-    t = safe_shift + down if down else safe_shift
-    if dtype is np.int32:
-        # dead shifts (>= 9 + up) all floor to 0/-1; clamping at 31 keeps
-        # the int32 shift count defined without changing any result bit
-        t = np.minimum(t, 31).astype(np.int32)
-    buf = np.empty(na_pt.shape[:2], dtype=na_pt.dtype)
-    register = np.zeros(na_pt.shape[0], dtype=np.int64)
-    for d in range(2 * k_total - 1):
-        shift_left = 4 * d - frac - sp + ACC_FRACTION_BITS
-        tree_d = None
-        for i, j in _diagonal_pairs(d, k_total):
-            np.multiply(na_pt[:, :, i], nb[:, :, j], out=buf)
-            np.right_shift(buf, t, out=buf)
-            tree = buf.sum(axis=1, dtype=np.int64)
-            if shift_left >= 0:
-                tree_d = tree if tree_d is None else tree_d + tree
-            else:
-                # the golden accumulator floors every pass separately;
-                # grouping here would change bits, so don't
-                register += tree >> (-shift_left)
-        if tree_d is not None:
-            register += tree_d << shift_left
-    return register
-
-
-def _mc_chunk(na, nb, shifts, safe_shift, r, frac, k_total, dtype):
-    """MC serve-loop kernel over one chunk; returns (registers, n_align).
-
-    The serve schedule, serving masks, and local shifts are computed once
-    per cycle (the seed recomputed them for each of the nine nibble passes)
-    and the passes within a cycle run grouped by diagonal.
-    """
-    sw, sp, up, down = r.software_precision, r.sp, r.up, r.down
-    masked = shifts >= sw
-    cyc = np.where(masked, -1, serve_cycles(shifts, sp))
-    n_align = np.maximum(cyc.max(axis=1, initial=-1), 0) + 1
-    max_cycles = int(n_align.max(initial=1))
-    na_w = na.astype(np.int64) if dtype is np.int64 else na
-    if up:
-        na_w = na_w << up
-    buf = np.empty(na_w.shape[:2], dtype=na_w.dtype)
-    register = np.zeros(na_w.shape[0], dtype=np.int64)
-    for c in range(max_cycles):
-        serving = cyc == c
-        if not serving.any():
-            continue
-        coarse = c * sp
-        na_c = np.where(serving[:, :, None], na_w, 0)
-        t_c = np.where(serving, safe_shift - coarse + down, 0)
-        if dtype is np.int32:
-            t_c = t_c.astype(np.int32)
-        for d in range(2 * k_total - 1):
-            shift_left = 4 * d - frac - sp - coarse + ACC_FRACTION_BITS
-            tree_d = None
-            for i, j in _diagonal_pairs(d, k_total):
-                np.multiply(na_c[:, :, i], nb[:, :, j], out=buf)
-                np.right_shift(buf, t_c, out=buf)
-                tree = buf.sum(axis=1, dtype=np.int64)
-                if shift_left >= 0:
-                    tree_d = tree if tree_d is None else tree_d + tree
-                else:
-                    register += tree >> (-shift_left)
-            if tree_d is not None:
-                register += tree_d << shift_left
-    return register, n_align

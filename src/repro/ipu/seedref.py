@@ -1,11 +1,12 @@
 """Frozen pre-engine emulation kernel, kept as a second reference.
 
-This is the original (seed) implementation of ``fp_ip_batch`` exactly as it
-shipped before :mod:`repro.ipu.engine` replaced it on the hot paths. It is
-retained for two purposes only:
+This is the original (seed) batch emulation exactly as it shipped before
+:mod:`repro.ipu.engine` replaced it on the hot paths. It is retained for two
+purposes only:
 
 - the engine property tests assert bit-identity against it (in addition to
-  the scalar golden model), pinning the refactor to the historical bits;
+  the scalar golden model), pinning the refactor to the historical bits; it
+  sums in int64, so it stays a valid reference at any lane count;
 - the benchmark report (``benchmarks/report.py``) times it against the
   engine at identical sample counts to track the speedup across PRs.
 

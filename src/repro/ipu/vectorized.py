@@ -1,75 +1,16 @@
-"""Vectorized NumPy emulation of the approximate FP inner product.
+"""Batched INT-mode inner products.
 
-Bit-for-bit equivalent to the golden scalar model in :mod:`repro.ipu.ipu`
-(cross-checked by the test suite) but operating on whole batches, which makes
-the paper's million-sample error analysis (Figure 3) tractable in Python.
-
-Since the prepacked engine landed, :func:`fp_ip_batch` is a thin convenience
-wrapper: it packs both operands (:func:`repro.ipu.engine.pack_operands`) and
-runs one :class:`repro.ipu.engine.KernelPoint` through the chunked diagonal
-kernel. Sweeps that evaluate many precisions or accumulator formats against
-the same tensors should pack once and call
-:func:`repro.ipu.engine.fp_ip_points` directly so the decode and nibble
-split are not repeated per point.
-
-All integer math stays inside int64 (or int32 when the engine proves the
-adder words fit): nibble products are <= 225, adder words carry at most
-``w - 9 <= 29`` fraction bits, and the 30-fraction-bit accumulator register
-of a single FP-IP op is bounded by ``4 * n * 2**30``.
+The FP inner product runs through :mod:`repro.ipu.engine`
+(:func:`~repro.ipu.engine.pack_operands` +
+:func:`~repro.ipu.engine.fp_ip_points`) or an
+:class:`repro.api.EmulationSession`.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from repro.fp.formats import FP16, FP32, FPFormat
-from repro.ipu.accumulator import ACC_FRACTION_BITS
-from repro.ipu.engine import FPIPBatchResult, KernelPoint, fp_ip_points, pack_operands
-
-__all__ = ["FPIPBatchResult", "fp_ip_batch", "int_dot_batch", "ACC_FRACTION_BITS"]
-
-
-def fp_ip_batch(
-    a: np.ndarray,
-    b: np.ndarray,
-    adder_width: int,
-    software_precision: int | None = None,
-    acc_fmt: FPFormat = FP32,
-    in_fmt: FPFormat = FP16,
-    multi_cycle: bool = False,
-) -> FPIPBatchResult:
-    """Emulate FP inner products over a batch.
-
-    Parameters
-    ----------
-    a, b:
-        Float arrays of shape ``(B, n)``; they are cast into ``in_fmt``.
-    adder_width:
-        IPU precision ``w`` (adder-tree width / max local shift).
-    software_precision:
-        Mask threshold. Defaults to ``w`` for single-cycle analysis (the
-        Figure-3 convention, where the IPU precision is the only knob) —
-        pass the accumulator requirement (16/28) explicitly when modelling
-        an MC-IPU.
-    multi_cycle:
-        Engage the MC serve loop when ``w < software_precision``.
-
-    .. deprecated::
-        Use :meth:`repro.api.EmulationSession.inner_product` — a session
-        caches the operand plans this wrapper rebuilds on every call. The
-        results are bit-identical (asserted by the deprecation-shim tests).
-    """
-    warnings.warn(
-        "fp_ip_batch is deprecated; use repro.api.EmulationSession.inner_product",
-        DeprecationWarning, stacklevel=2,
-    )
-    point = KernelPoint(adder_width, software_precision, multi_cycle, acc_fmt)
-    point.resolve()  # validate the configuration before decoding anything
-    pa = pack_operands(a, in_fmt)
-    pb = pack_operands(b, in_fmt)
-    return fp_ip_points(pa, pb, [point])[0]
+__all__ = ["int_dot_batch"]
 
 
 def int_dot_batch(

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.error import contaminated_bits, error_stats
-from repro.analysis.sweeps import recommended_min_precision, run_fig3_sweep
+from repro.analysis.sweeps import recommended_min_precision
+from repro.api import EmulationSession, RunSpec
 from repro.fp.formats import FP16, FP32
 
 
@@ -49,14 +50,22 @@ class TestErrorStats:
         assert s.median_rel_error_pct == pytest.approx(1.0)
 
 
+def fig3_sweep(sources, precisions, batch, chunks=1, seed=0):
+    """The Figure-3 grid (fp16 + fp32 accumulators) through a session."""
+    spec = RunSpec.grid(precisions=precisions, accumulators=("fp16", "fp32"),
+                        sources=sources, batch=batch, chunks=chunks, seed=seed)
+    with EmulationSession() as session:
+        return session.sweep(spec)
+
+
 class TestFig3Conclusions:
     @pytest.fixture(scope="class")
     def sweep(self):
-        return run_fig3_sweep(
+        return fig3_sweep(
             sources=("laplace", "normal", "uniform"),
             precisions=(8, 12, 16, 20, 24, 28, 38),
             batch=4000,
-            rng=0,
+            seed=0,
         )
 
     def test_fp16_needs_16_bits(self, sweep):
@@ -86,10 +95,10 @@ class TestFig3Conclusions:
         assert series[38] == 0
 
     def test_chained_chunks_push_fp32_requirement_up(self):
-        short = run_fig3_sweep(sources=("laplace",), precisions=(16, 20, 24, 28),
-                               batch=2000, chunks=1, rng=1)
-        long = run_fig3_sweep(sources=("laplace",), precisions=(16, 20, 24, 28),
-                              batch=1000, chunks=8, rng=1)
+        short = fig3_sweep(sources=("laplace",), precisions=(16, 20, 24, 28),
+                           batch=2000, chunks=1, seed=1)
+        long = fig3_sweep(sources=("laplace",), precisions=(16, 20, 24, 28),
+                          batch=1000, chunks=8, seed=1)
         s16 = dict(short.series("laplace", "fp32", "median_contaminated_bits"))[16]
         l16 = dict(long.series("laplace", "fp32", "median_contaminated_bits"))[16]
         assert l16 >= s16

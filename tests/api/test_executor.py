@@ -329,9 +329,10 @@ class TestResultBlockCleanup:
     def test_crash_mid_sweep_unlinks_result_file(self):
         """A worker that dies mid-sweep must not leak its result block.
 
-        An unknown engine name raises inside the forked worker (the parent
-        never validates it on this path), which is exactly the crash shape:
-        the result file exists, futures fail, cleanup must still run.
+        An unservable kernel point raises inside the forked worker (the
+        parent never resolves points on this path), which is exactly the
+        crash shape: the result file exists, futures fail, cleanup must
+        still run.
         """
         import os
 
@@ -341,9 +342,9 @@ class TestResultBlockCleanup:
             pa, pb = pack_operands(a), pack_operands(b)
             from repro.ipu.engine import KernelPoint
 
-            with pytest.raises(ValueError, match="unknown engine"):
-                ex.run_points(pa, pb, [KernelPoint(16)], (6000, 8),
-                              engine="not-an-engine")
+            with pytest.raises(ValueError, match="single-cycle"):
+                ex.run_points(pa, pb, [KernelPoint(12, 28, multi_cycle=False)],
+                              (6000, 8))
             assert ex.live_result_files == []
             assert ex.live_segments == []
             for path in ex.last_result_files:

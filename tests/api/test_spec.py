@@ -99,11 +99,16 @@ class TestRunSpec:
             RunSpec(batch=0)
 
     def test_engine_field(self):
-        spec = RunSpec(engine="numpy-unfused")
-        assert RunSpec.from_json(spec.to_json()).engine == "numpy-unfused"
-        assert RunSpec().engine is None  # default: session decides
-        with pytest.raises(ValueError, match="engine"):
-            RunSpec(engine="fortran")
+        """The kernel engine is fixed: a legacy ``"engine"`` key in spec JSON
+        loads and is dropped, and the field is gone from the spec itself."""
+        spec = self.spec()
+        for engine in (None, "numpy", "numpy-unfused", "compiled"):
+            legacy = RunSpec.from_json(json.dumps({**spec.to_dict(), "engine": engine}))
+            assert legacy == spec
+            assert legacy.fingerprint() == spec.fingerprint()
+        assert "engine" not in spec.to_dict()
+        with pytest.raises(TypeError, match="engine"):
+            RunSpec(engine="numpy")
 
     def test_rejects_unpackable_operand_format(self):
         """Registry formats without an engine path fail at spec load, not

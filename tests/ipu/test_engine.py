@@ -9,7 +9,6 @@ from repro.fp.formats import FP16, FP32
 from repro.ipu.engine import KernelPoint, fp_ip_packed, fp_ip_points, pack_operands
 from repro.ipu.ipu import InnerProductUnit, IPUConfig
 from repro.ipu.seedref import fp_ip_batch_seed
-from repro.ipu.vectorized import fp_ip_batch
 
 CONFIGS = [
     (16, 16, False),  # FP16-accumulator single cycle
@@ -36,6 +35,11 @@ def wide_operands(rng, shape):
     return a, b
 
 
+def emulate(a, b, *args, **kwargs):
+    """One kernel point over raw float operands: pack both, run the engine."""
+    return fp_ip_packed(pack_operands(a), pack_operands(b), *args, **kwargs)
+
+
 def assert_results_equal(got, want, ctx=""):
     assert np.array_equal(got.values, want.values), ctx
     assert np.array_equal(got.rounded, want.rounded), ctx
@@ -50,7 +54,7 @@ def test_engine_bit_exact_vs_scalar_golden(w, sw, mc):
     rng = np.random.default_rng(w * 1000 + sw)
     n = 8
     a, b = wide_operands(rng, (32, n))
-    batch = fp_ip_batch(a, b, adder_width=w, software_precision=sw, multi_cycle=mc)
+    batch = emulate(a, b, adder_width=w, software_precision=sw, multi_cycle=mc)
     for r in range(len(a)):
         scalar = InnerProductUnit(IPUConfig(n_inputs=n, adder_width=w, software_precision=sw))
         res = scalar.fp_dot(bits_of(a[r]), bits_of(b[r]), FP16, FP32)
@@ -63,13 +67,13 @@ def test_engine_bit_exact_vs_scalar_golden(w, sw, mc):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.sampled_from(CONFIGS), st.sampled_from([FP16, FP32]))
 def test_engine_bit_exact_vs_seed_kernel(seed, config, acc_fmt):
-    """Property test: the engine reproduces the seed fp_ip_batch exactly."""
+    """Property test: the engine reproduces the seed kernel exactly."""
     w, sw, mc = config
     rng = np.random.default_rng(seed)
     shape = (int(rng.integers(1, 80)), int(rng.integers(1, 24)))
     a, b = wide_operands(rng, shape)
     want = fp_ip_batch_seed(a, b, w, sw, acc_fmt=acc_fmt, multi_cycle=mc)
-    got = fp_ip_batch(a, b, w, sw, acc_fmt=acc_fmt, multi_cycle=mc)
+    got = emulate(a, b, w, sw, acc_fmt=acc_fmt, multi_cycle=mc)
     assert_results_equal(got, want, (seed, config, acc_fmt.name))
 
 
@@ -137,7 +141,7 @@ def test_leading_batch_shape_preserved():
     pa, pb = pack_operands(a), pack_operands(b)
     res = fp_ip_packed(pa, pb, 16)
     assert res.values.shape == (6, 5)
-    flat = fp_ip_batch(a.reshape(30, 16), b.reshape(30, 16), 16)
+    flat = emulate(a.reshape(30, 16), b.reshape(30, 16), 16)
     assert np.array_equal(res.values.ravel(), flat.values)
 
 
@@ -149,7 +153,7 @@ def test_packed_operands_slicing_and_reshape():
     assert pa[2].shape == (4, 16)
     assert pa.reshape(40).shape == (40, 16)
     row = fp_ip_packed(pa[2], pack_operands(a[2]), 16)
-    assert np.array_equal(row.values, fp_ip_batch(a[2], a[2], 16).values)
+    assert np.array_equal(row.values, emulate(a[2], a[2], 16).values)
 
 
 def test_point_validation_matches_seed():
@@ -168,6 +172,6 @@ def test_mismatched_formats_rejected():
 
 def test_empty_batch():
     z = np.zeros((0, 8))
-    res = fp_ip_batch(z, z, 16)
+    res = emulate(z, z, 16)
     assert res.values.shape == (0,)
     assert res.alignment_cycles.shape == (0,)

@@ -1,29 +1,25 @@
-"""Engine selection, fused-vs-unfused bit identity, buffers, and out=."""
+"""Fused-vs-unfused bit identity (against the seed kernel), buffers, and out=."""
 
 import numpy as np
 import pytest
 
 from repro.fp.formats import FP16
-from repro.ipu.engine import (
-    ENGINES,
-    KernelPoint,
-    available_engines,
-    compiled_available,
-    fp_ip_points,
-    pack_operands,
-    resolve_engine,
-)
+from repro.ipu.engine import KernelPoint, fp_ip_points, pack_operands
+from repro.ipu.seedref import fp_ip_batch_seed
 
 from test_engine import CONFIGS, assert_results_equal, wide_operands
 
 
+def operand_pair(seed=3, shape=(300, 16)):
+    return wide_operands(np.random.default_rng(seed), shape)
+
+
 def packed_pair(seed=3, shape=(300, 16)):
-    rng = np.random.default_rng(seed)
-    a, b = wide_operands(rng, shape)
+    a, b = operand_pair(seed, shape)
     return pack_operands(a), pack_operands(b)
 
 
-def overflow_regime_pair(n=100_000):
+def overflow_regime_operands(n=100_000):
     """Operands sized past the int32 adder-tree-sum boundary.
 
     All-positive, all-nibbles-lit lanes maximize the n-lane tree sums, and
@@ -35,93 +31,67 @@ def overflow_regime_pair(n=100_000):
     a = np.full((2, n), 1.9375)
     a[:, n // 2:] = 1.9375 * 2.0**-7
     b = np.full((2, n), 1.9375)
-    return pack_operands(a), pack_operands(b)
+    return a, b
 
 
-class TestEngineSelection:
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert resolve_engine() == "numpy"
-        assert resolve_engine(None) == "numpy"
+def fused_and_seed(a, b, points):
+    """The fused engine and the unfused seed kernel on the same operands.
 
-    def test_env_var_selects_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "numpy-unfused")
-        assert resolve_engine() == "numpy-unfused"
-        # an explicit argument beats the environment
-        assert resolve_engine("numpy") == "numpy"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            resolve_engine("fortran")
-
-    def test_compiled_falls_back_without_numba(self):
-        resolved = resolve_engine("compiled")
-        if compiled_available():
-            assert resolved == "compiled"
-        else:
-            assert resolved == "numpy"
-
-    def test_available_engines_listing(self):
-        names = available_engines()
-        assert "numpy" in names and "numpy-unfused" in names
-        assert ("compiled" in names) == compiled_available()
-        assert set(names) <= set(ENGINES)
+    The seed kernel sums every pass in int64, so it stays a valid reference
+    at lane counts where the fused work dtype needs its headroom gates.
+    """
+    fused = fp_ip_points(pack_operands(a), pack_operands(b), points)
+    seed = [fp_ip_batch_seed(a, b, p.adder_width, p.software_precision,
+                             acc_fmt=p.acc_fmt, multi_cycle=p.multi_cycle)
+            for p in points]
+    return fused, seed
 
 
 class TestFusedUnfusedParity:
     @pytest.mark.parametrize("w,sw,mc", CONFIGS)
     def test_bit_identical_per_config(self, w, sw, mc):
-        pa, pb = packed_pair(seed=w * 100 + sw)
-        points = [KernelPoint(w, sw, mc)]
-        fused = fp_ip_points(pa, pb, points, engine="numpy")
-        unfused = fp_ip_points(pa, pb, points, engine="numpy-unfused")
-        assert_results_equal(fused[0], unfused[0], (w, sw, mc))
+        a, b = operand_pair(seed=w * 100 + sw)
+        fused, seed = fused_and_seed(a, b, [KernelPoint(w, sw, mc)])
+        assert_results_equal(fused[0], seed[0], (w, sw, mc))
 
     def test_multi_point_mixed_modes(self):
-        """One fused call over mixed single/MC/acc points == unfused."""
-        pa, pb = packed_pair(seed=29, shape=(257, 12))
+        """One fused call over mixed single/MC/acc points == the seed kernel."""
+        a, b = operand_pair(seed=29, shape=(257, 12))
         points = [
             KernelPoint(8), KernelPoint(16, acc_fmt=FP16), KernelPoint(28),
             KernelPoint(38), KernelPoint(12, 28, multi_cycle=True),
             KernelPoint(10, 28, multi_cycle=True),
         ]
-        fused = fp_ip_points(pa, pb, points, engine="numpy")
-        unfused = fp_ip_points(pa, pb, points, engine="numpy-unfused")
-        for f, u, p in zip(fused, unfused, points):
-            assert_results_equal(f, u, p)
+        fused, seed = fused_and_seed(a, b, points)
+        for f, s, p in zip(fused, seed, points):
+            assert_results_equal(f, s, p)
 
     def test_bit_identical_near_int32_sum_boundary(self):
         """n large enough that the int32 work dtype still applies but the
         paired MC reduction would wrap without the n-aware headroom gate
         (w=15 -> sp=6: int32 admits n up to ~150k, yet n*225 << (up+sp)
         is far past 2**31)."""
-        pa, pb = overflow_regime_pair()
+        a, b = overflow_regime_operands()
         points = [KernelPoint(15, 28, multi_cycle=True),
                   KernelPoint(12, 28, multi_cycle=True)]
-        fused = fp_ip_points(pa, pb, points, engine="numpy")
-        unfused = fp_ip_points(pa, pb, points, engine="numpy-unfused")
-        for f, u, p in zip(fused, unfused, points):
-            assert_results_equal(f, u, p)
+        fused, seed = fused_and_seed(a, b, points)
+        for f, s, p in zip(fused, seed, points):
+            assert_results_equal(f, s, p)
 
     def test_bit_identical_random_large_n(self):
-        """Random operands at int32-boundary lane counts, fused == unfused."""
+        """Random operands at int32-boundary lane counts, fused == seed."""
         rng = np.random.default_rng(53)
         for w, n in [(15, 100_000), (12, 140_000), (10, 60_000)]:
-            shape = (2, n)
-            a, b = wide_operands(rng, shape)
-            pa, pb = pack_operands(a), pack_operands(b)
-            points = [KernelPoint(w, 28, multi_cycle=True)]
-            fused = fp_ip_points(pa, pb, points, engine="numpy")
-            unfused = fp_ip_points(pa, pb, points, engine="numpy-unfused")
-            assert_results_equal(fused[0], unfused[0], (w, n))
+            a, b = wide_operands(rng, (2, n))
+            fused, seed = fused_and_seed(a, b, [KernelPoint(w, 28, multi_cycle=True)])
+            assert_results_equal(fused[0], seed[0], (w, n))
 
     def test_forced_int64_matches_int32(self):
         pa, pb = packed_pair(seed=31)
         for w, sw, mc in CONFIGS:
             points = [KernelPoint(w, sw, mc)]
-            narrow = fp_ip_points(pa, pb, points, engine="numpy")
-            wide = fp_ip_points(pa, pb, points, engine="numpy",
-                               work_dtype=np.int64)
+            narrow = fp_ip_points(pa, pb, points)
+            wide = fp_ip_points(pa, pb, points, work_dtype=np.int64)
             assert_results_equal(narrow[0], wide[0], (w, sw, mc))
 
 

@@ -13,7 +13,8 @@ from repro.ipu.theory import (
     safe_precision,
     theorem1_bound,
 )
-from repro.ipu.vectorized import fp_ip_batch
+
+from test_engine import emulate
 
 
 class TestConstants:
@@ -77,7 +78,7 @@ class TestTheorem1:
         n = 8
         a = rng.laplace(0, 1, (16, n)).astype(np.float16).astype(np.float64)
         b = rng.laplace(0, 1, (16, n)).astype(np.float16).astype(np.float64)
-        res = fp_ip_batch(a, b, adder_width=precision)
+        res = emulate(a, b, adder_width=precision)
         exact = (a * b).sum(axis=1)  # float64 exact for fp16 inputs, n small
         bound = sum(
             theorem1_bound(i, j, precision, int(me), n)

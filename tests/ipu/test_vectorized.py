@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from repro.fp.formats import FP16, FP32
 from repro.ipu.ipu import InnerProductUnit, IPUConfig
 from repro.ipu.reference import cpu_fp32_dot_batch
-from repro.ipu.vectorized import fp_ip_batch
+
+from test_engine import emulate
 
 CONFIGS = [
     (16, 16, False),  # FP16-accumulator single cycle
@@ -34,7 +35,7 @@ def test_bit_exact_vs_scalar_golden(w, sw, mc):
     a = (rng.laplace(0, 1, (40, n)) * np.exp2(rng.integers(-6, 7, (40, n)))).astype(np.float16)
     b = rng.normal(0, 1, (40, n)).astype(np.float16)
     a64, b64 = a.astype(np.float64), b.astype(np.float64)
-    batch = fp_ip_batch(a64, b64, adder_width=w, software_precision=sw, multi_cycle=mc)
+    batch = emulate(a64, b64, adder_width=w, software_precision=sw, multi_cycle=mc)
     for r in range(40):
         scalar = InnerProductUnit(IPUConfig(n_inputs=n, adder_width=w, software_precision=sw))
         res = scalar.fp_dot(bits_of(a[r]), bits_of(b[r]), FP16, FP32)
@@ -47,30 +48,30 @@ def test_bit_exact_vs_scalar_golden(w, sw, mc):
 class TestBatchSemantics:
     def test_baseline_total_cycles_is_nine(self):
         a = np.ones((5, 8))
-        res = fp_ip_batch(a, a, adder_width=38)
+        res = emulate(a, a, adder_width=38)
         assert np.all(res.total_cycles == 9)
 
     def test_rounded_matches_values_cast(self):
         rng = np.random.default_rng(2)
         a = rng.normal(0, 1, (64, 16))
         b = rng.normal(0, 1, (64, 16))
-        res = fp_ip_batch(a, b, adder_width=28, acc_fmt=FP32)
+        res = emulate(a, b, adder_width=28, acc_fmt=FP32)
         assert np.array_equal(res.rounded, res.values.astype(np.float32))
 
     def test_single_cycle_cannot_serve_wider_software_precision(self):
         a = np.ones((2, 8))
         with pytest.raises(ValueError):
-            fp_ip_batch(a, a, adder_width=12, software_precision=28, multi_cycle=False)
+            emulate(a, a, adder_width=12, software_precision=28, multi_cycle=False)
 
     def test_subnormal_inputs_handled(self):
         a = np.full((3, 8), 2.0**-24)
         b = np.ones((3, 8))
-        res = fp_ip_batch(a, b, adder_width=38)
+        res = emulate(a, b, adder_width=38)
         assert np.allclose(res.values, 8 * 2.0**-24)
 
     def test_all_zero_batch(self):
         z = np.zeros((4, 8))
-        res = fp_ip_batch(z, z, adder_width=16)
+        res = emulate(z, z, adder_width=16)
         assert np.all(res.values == 0)
         assert np.all(res.alignment_cycles == 1)
 
@@ -82,7 +83,7 @@ class TestBatchSemantics:
         ref = cpu_fp32_dot_batch(a, b).astype(np.float64)
         meds = []
         for w in (8, 12, 16, 20, 24, 28):
-            res = fp_ip_batch(a, b, adder_width=w)
+            res = emulate(a, b, adder_width=w)
             meds.append(np.median(np.abs(res.values - ref)))
         assert all(x >= y - 1e-12 for x, y in zip(meds, meds[1:])), meds
 
@@ -93,8 +94,8 @@ class TestBatchSemantics:
         a = a.astype(np.float16).astype(np.float64)
         b = rng.normal(0, 1, (2000, 8)).astype(np.float16).astype(np.float64)
         ref = cpu_fp32_dot_batch(a, b).astype(np.float64)
-        err_mc = np.abs(fp_ip_batch(a, b, 12, 28, multi_cycle=True).values - ref)
-        err_sc = np.abs(fp_ip_batch(a, b, 12).values - ref)
+        err_mc = np.abs(emulate(a, b, 12, 28, multi_cycle=True).values - ref)
+        err_sc = np.abs(emulate(a, b, 12).values - ref)
         assert np.median(err_mc) <= np.median(err_sc)
         assert err_mc.mean() < err_sc.mean()
 
@@ -107,7 +108,7 @@ def test_alignment_cycles_bounds(seed, w):
     b = rng.laplace(0, 1, (16, 8))
     sw = 28
     mc = w < sw
-    res = fp_ip_batch(a, b, adder_width=w, software_precision=sw, multi_cycle=mc)
+    res = emulate(a, b, adder_width=w, software_precision=sw, multi_cycle=mc)
     assert np.all(res.alignment_cycles >= 1)
     if mc:
         sp = w - 9

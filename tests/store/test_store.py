@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.api import (
 from repro.api.design import DesignReport
 from repro.store import ResultStore, fingerprint
 
+QUICK_SPEC = Path(__file__).resolve().parents[2] / "examples" / "specs" / "fig3_quick.json"
 
 SPEC = RunSpec(name="store-spec", sources=("laplace", "normal"),
                points=(PrecisionPoint(12), PrecisionPoint(16),
@@ -56,11 +58,25 @@ class TestFingerprints:
         renamed = RunSpec.from_dict({**SPEC.to_dict(), "name": "other"})
         threaded = RunSpec.from_dict(
             {**SPEC.to_dict(), "executor": ExecutorSpec("thread", 2)})
-        unfused = RunSpec.from_dict({**SPEC.to_dict(), "engine": "numpy-unfused"})
         assert renamed.fingerprint() == SPEC.fingerprint()
         assert threaded.fingerprint() == SPEC.fingerprint()
-        # engines are bit-identical, so cached results are shared across them
-        assert unfused.fingerprint() == SPEC.fingerprint()
+        # spec JSON may carry the retired "engine" key with any value: it
+        # loads, and the stored-result keys stay the pinned historical ones
+        quick = json.loads(QUICK_SPEC.read_text())
+        acc = RunSpec(name="t", sources=("laplace",), batch=300, n=8, seed=2)
+        for engine in (None, "numpy", "compiled", "any-retired-name"):
+            legacy = RunSpec.from_dict({**quick, "engine": engine})
+            assert legacy.fingerprint() == "effd0ca85db771486e8ce6ed3da05231"
+            design = DesignSweepSpec.grid(
+                designs=("MC-IPU4", "INT8"), samples=24,
+                accuracy={**acc.to_dict(), "engine": engine})
+            assert design.fingerprint() == "b019525e073de91db487d5b7aaa23d4e"
+        from repro.service import ServiceClient, ServiceServer
+
+        with ServiceServer(port=0) as server:
+            result = ServiceClient(server.url).run(
+                {**SPEC.to_dict(), "engine": "compiled"}, kind="sweep")
+        assert result["fingerprint"] == SPEC.fingerprint()
 
     def test_result_fields_change_keys(self):
         for change in ({"seed": 8}, {"batch": 601}, {"sources": ["laplace"]},
