@@ -1,8 +1,6 @@
 """Pluggable execution backends: one interface, serial / thread / process.
 
-Both sessions used to own a private ``ThreadPoolExecutor`` — which, the
-committed benchmarks show, buys nothing on the GIL-bound kernel path
-(``BENCH_kernels.json: worker_pool_sweep`` measured 1.0x). This module
+Both sessions used to own a private ``ThreadPoolExecutor``. This module
 factors the fan-out into interchangeable backends behind one interface so
 truly million-sample sweeps can use real processes:
 

@@ -1,14 +1,11 @@
 """Frozen pre-engine emulation kernel, kept as a second reference.
 
 This is the original (seed) batch emulation exactly as it shipped before
-:mod:`repro.ipu.engine` replaced it on the hot paths. It is retained for two
-purposes only:
-
-- the engine property tests assert bit-identity against it (in addition to
-  the scalar golden model), pinning the refactor to the historical bits; it
-  sums in int64, so it stays a valid reference at any lane count;
-- the benchmark report (``benchmarks/report.py``) times it against the
-  engine at identical sample counts to track the speedup across PRs.
+:mod:`repro.ipu.engine` replaced it on the hot paths. It is retained only as
+a test oracle: the engine property tests, the seed Figure-3 sweep test and
+the seed convolution test assert bit-identity against it (in addition to
+the scalar golden model), pinning the engine to the historical bits. It
+sums in int64, so it stays a valid reference at any lane count.
 
 Do not optimise or otherwise modify this module; new functionality belongs
 in :mod:`repro.ipu.engine`.

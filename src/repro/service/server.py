@@ -90,6 +90,12 @@ MAX_FINISHED_JOBS = 1024
 MIN_RETRY_AFTER = 1.0
 MAX_RETRY_AFTER = 60.0
 
+# Largest request body a POST may declare. The largest committed spec
+# (examples/specs/fig3_quick.json) posts as ~1.5 KB and its fleet shards as
+# less, so 1 MiB leaves ~700x headroom for hand-built grids while a hostile
+# Content-Length is refused before a byte of it is read.
+MAX_BODY_BYTES = 1 << 20
+
 
 class ServiceBusy(RuntimeError):
     """Submit refused because the job queue is at its cap.
@@ -508,6 +514,14 @@ def _is_loopback_host(host: str) -> bool:
         return False  # "", "0.0.0.0", "::", hostnames: assume reachable
 
 
+class _BodyRejected(Exception):
+    """A request body refused before it is read: ``code`` is the status."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-sweep-service/1.0"
     protocol_version = "HTTP/1.1"
@@ -550,7 +564,18 @@ class _Handler(BaseHTTPRequestHandler):
                    headers={"WWW-Authenticate": "Bearer"})
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # rfile.read(-1) would block until the client hangs up
+            raise _BodyRejected(400, f"invalid Content-Length {raw!r}")
+        if length > MAX_BODY_BYTES:
+            raise _BodyRejected(
+                413, f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit")
         return json.loads(self.rfile.read(length).decode() or "null")
 
     def do_GET(self) -> None:  # noqa: N802 (http.server convention)
@@ -607,6 +632,11 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             spec_dict = self._read_body()
+        except _BodyRejected as exc:
+            # the unread body would be parsed as the next request: hang up
+            self._send(exc.code, {"error": str(exc)},
+                       headers={"Connection": "close"})
+            return
         except (ValueError, UnicodeDecodeError) as exc:
             self._send(400, {"error": f"request body is not JSON: {exc}"})
             return

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from repro.analysis.error import contaminated_bits, error_stats
-from repro.analysis.sweeps import recommended_min_precision
+from repro.analysis.sweeps import _operands_for, recommended_min_precision
 from repro.api import EmulationSession, RunSpec
-from repro.fp.formats import FP16, FP32
+from repro.fp.formats import FP16, FP32, np_float_dtype
+from repro.ipu.reference import cpu_fp32_dot_batch
+from repro.ipu.seedref import fp_ip_batch_seed
+from repro.utils.rng import as_generator
 
 
 class TestContaminatedBits:
@@ -102,3 +105,34 @@ class TestFig3Conclusions:
         s16 = dict(short.series("laplace", "fp32", "median_contaminated_bits"))[16]
         l16 = dict(long.series("laplace", "fp32", "median_contaminated_bits"))[16]
         assert l16 >= s16
+
+
+def test_sweep_bit_identical_to_seed_fig3_loop():
+    """The session sweep reproduces the seed Figure-3 loop stat for stat:
+    one seed-kernel call per (acc_fmt, precision), chunk sums, and the
+    accumulator-format cast, on the same sampled operands."""
+    batch, chunks, precisions = 1000, 2, (8, 12, 16, 38)
+    sources = ("laplace", "normal", "uniform")
+    rng = as_generator(0)
+    seed_stats = {}
+    for source in sources:
+        a, b = _operands_for(source, batch * chunks, 16, rng)
+        a16 = np.asarray(a, np.float16).astype(np.float64)
+        b16 = np.asarray(b, np.float16).astype(np.float64)
+        ref = cpu_fp32_dot_batch(a16, b16).astype(np.float64)
+        ref = ref.reshape(batch, chunks).sum(axis=1)
+        for acc_fmt in (FP16, FP32):
+            ref_cast = (ref.astype(np.float16).astype(np.float64)
+                        if acc_fmt is FP16 else ref)
+            for w in precisions:
+                approx = fp_ip_batch_seed(a16, b16, adder_width=w,
+                                          acc_fmt=acc_fmt).values
+                approx = approx.reshape(batch, chunks).sum(axis=1)
+                approx = approx.astype(np_float_dtype(acc_fmt)).astype(np.float64)
+                seed_stats[(source, acc_fmt.name, w)] = error_stats(
+                    approx, ref_cast, acc_fmt)
+
+    sweep = fig3_sweep(sources, precisions, batch, chunks=chunks, seed=0)
+    got = {(p.source, p.acc_fmt, p.precision): p.stats for p in sweep.points}
+    assert len(seed_stats) == 24
+    assert got == seed_stats

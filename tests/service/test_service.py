@@ -1,8 +1,10 @@
 """repro.service: HTTP round trips, coalescing, store engagement, runner CLI."""
 
 import json
+import socket
 import threading
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.service import (
     ServiceServer,
     SweepService,
 )
+from repro.service.server import MAX_BODY_BYTES
 
 SPEC = RunSpec(name="svc-spec", sources=("laplace",),
                points=(PrecisionPoint(12), PrecisionPoint(16)),
@@ -106,6 +109,41 @@ class TestHTTPRoundTrips:
         with pytest.raises(ServiceError) as err:
             client.result(ticket["job"], timeout=30)
         assert "no precision points" in str(err.value)
+
+
+def _raw_post(url, content_length, timeout=5.0):
+    """POST /v1/sweep over a bare kept-alive socket, declaring
+    ``content_length`` but sending no body; read until the server hangs up
+    (a handler stuck reading the body trips the socket timeout instead)."""
+    parts = urlsplit(url)
+    with socket.create_connection((parts.hostname, parts.port),
+                                  timeout=timeout) as sock:
+        sock.sendall(
+            f"POST /v1/sweep HTTP/1.1\r\nHost: {parts.netloc}\r\n"
+            "Content-Type: application/json\r\nConnection: keep-alive\r\n"
+            f"Content-Length: {content_length}\r\n\r\n".encode())
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    head, _, body = received.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+class TestRequestBodyBounds:
+    @pytest.mark.parametrize("length,status", [
+        ("-1", 400), ("abc", 400), (MAX_BODY_BYTES + 1, 413)])
+    def test_bad_content_length_is_refused_unread_and_never_enqueued(
+            self, server, client, length, status):
+        before = client.stats()["jobs"]["total"]
+        got, payload = _raw_post(server.url, length)
+        assert got == status
+        assert str(length) in payload["error"]
+        assert client.stats()["jobs"]["total"] == before
+
+    def test_committed_specs_fit_the_cap(self):
+        root = Path(__file__).resolve().parents[2] / "examples" / "specs"
+        for path in root.glob("*.json"):
+            assert path.stat().st_size * 100 < MAX_BODY_BYTES, path
 
 
 class TestCoalescing:
