@@ -16,6 +16,7 @@ from repro.fp.formats import FP16, FP32, FPFormat
 
 __all__ = [
     "decode_array",
+    "decode_fields",
     "float_to_bits",
     "bits_to_float",
     "product_exponents",
@@ -69,24 +70,47 @@ def bits_to_float(fmt: FPFormat, bits: np.ndarray) -> np.ndarray:
     return np.asarray(bits, dtype=idt).view(fdt)
 
 
+def decode_fields(fmt: FPFormat, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cast ``values`` into ``fmt`` and split each word into its FP fields.
+
+    This is the one fp16/fp32 bit-field split in the package. It works in
+    the format's own unsigned word (uint16 / uint32) and never widens:
+    returns ``(sign, unbiased_exp, magnitude)`` as bool, int16 and the
+    format's unsigned word. ``magnitude`` carries the hidden bit for normal
+    numbers; ``unbiased_exp`` is subnormal-adjusted (``fmt.min_exp`` for
+    zeros and subnormals). Infs/NaNs raise ``ValueError`` — the datapath
+    experiments only ever see finite tensors, and silently decoding
+    specials would corrupt error statistics.
+    """
+    bits = float_to_bits(fmt, values)
+    shape = bits.shape
+    bits = bits.reshape(-1)  # 1-D keeps every ufunc below array-valued
+    sign_bit = 1 << (fmt.exp_bits + fmt.man_bits)
+    exp_max = (1 << fmt.exp_bits) - 1
+    sign = bits >= sign_bit
+    mag = bits & (sign_bit - 1)
+    if mag.size and mag.max() >= exp_max << fmt.man_bits:
+        raise ValueError(f"{fmt.name} decode got INF/NaN input")
+    field = mag >> fmt.man_bits
+    field += field == 0  # subnormals and zeros scale like field 1
+    exp = field.astype(np.int16)  # a biased exponent field fits in int16
+    exp -= fmt.bias
+    # |bits| - ((field - 1) << man_bits): the fraction plus, for normal
+    # numbers, the hidden bit (field 1 keeps it, field f >= 2 drops f - 1).
+    field -= 1
+    field <<= fmt.man_bits
+    mag -= field
+    return sign.reshape(shape), exp.reshape(shape), mag.reshape(shape)
+
+
 def decode_array(fmt: FPFormat, values: np.ndarray) -> DecodedArray:
     """Decode an array of floats (cast into ``fmt`` first) into SoA fields.
 
-    Infs/NaNs are rejected — the datapath experiments only ever see finite
-    tensors, and silently decoding specials would corrupt error statistics.
+    The :func:`decode_fields` split, widened to the int8 / int64 contract of
+    :class:`DecodedArray`.
     """
-    bits = float_to_bits(fmt, values).astype(np.int64)
-    man_mask = (1 << fmt.man_bits) - 1
-    exp_mask = (1 << fmt.exp_bits) - 1
-    sign = (bits >> (fmt.exp_bits + fmt.man_bits)) & 1
-    exp = (bits >> fmt.man_bits) & exp_mask
-    man = bits & man_mask
-    if np.any(exp == exp_mask):
-        raise ValueError("decode_array got INF/NaN input")
-    is_normal = exp != 0
-    magnitude = np.where(is_normal, man | (1 << fmt.man_bits), man)
-    unbiased = np.where(is_normal, exp - fmt.bias, fmt.min_exp)
-    return DecodedArray(fmt, sign.astype(np.int8), unbiased.astype(np.int64), magnitude.astype(np.int64))
+    sign, exp, mag = decode_fields(fmt, values)
+    return DecodedArray(fmt, sign.astype(np.int8), exp.astype(np.int64), mag.astype(np.int64))
 
 
 def quantize_array(fmt: FPFormat, values: np.ndarray) -> np.ndarray:

@@ -6,12 +6,18 @@ FP decode (~half the runtime) once per *sweep point* instead of once per
 *tensor*. This module separates operand preparation from kernel execution:
 
 ``PackedOperands``
-    caches the FP decode (:func:`repro.fp.vecfloat.decode_array`) and the
-    nibble split (:func:`repro.nibble.decompose.fp_magnitude_nibbles_vec`)
-    of one tensor in compact dtypes (uint8 nibbles, int16 exponents). A plan
-    is immutable and precision-agnostic, so it is reused across every IPU
-    precision, accumulator format, serve mode, and batch slice that touches
-    the tensor.
+    caches the decoded signs, exponents and nibble digits of one tensor.
+    :func:`pack_operands` builds it in one narrow pass: the fp16/fp32 words
+    are split in their own unsigned width
+    (:func:`repro.fp.vecfloat.decode_fields`) and written straight into the
+    plan dtypes, with no int64 temporaries. A plan is immutable and
+    precision-agnostic, so it is reused across every IPU precision,
+    accumulator format, serve mode, and batch slice that touches the tensor.
+    Its layout is a contract — ``sign`` bool ``(..., n)``, ``exp`` int16
+    ``(..., n)``, ``nibbles`` uint8 ``(..., n, K)`` LSB-first: the
+    :meth:`PackedOperands.to_buffers` codec ships these planes to process
+    workers, and the golden-model row replay in ``perfbench/`` slices them
+    directly and decodes them with :func:`plan_values`.
 
 ``fp_ip_points``
     executes any number of :class:`KernelPoint` configurations against a
@@ -52,11 +58,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.fp.formats import FP16, FP32, FPFormat, np_float_dtype
-from repro.fp.vecfloat import decode_array
+from repro.fp.vecfloat import decode_fields
 from repro.ipu.accumulator import ACC_FRACTION_BITS
 from repro.ipu.ehu import serve_cycles
 from repro.ipu.theory import MAX_FP16_PRODUCT_SHIFT, PRODUCT_MAGNITUDE_BITS, safe_precision
-from repro.nibble.decompose import NIBBLE_BITS, fp_magnitude_nibbles_vec, fp_nibble_weight_exp
+from repro.nibble.decompose import NIBBLE_BITS, fp_nibble_count, fp_nibble_weight_exp
 
 __all__ = [
     "FPIPBatchResult",
@@ -247,15 +253,22 @@ class PackedOperands:
 
 
 def pack_operands(values: np.ndarray, fmt: FPFormat = FP16) -> PackedOperands:
-    """Cast ``values`` into ``fmt`` and build its :class:`PackedOperands`."""
-    da = decode_array(fmt, np.asarray(values))
-    nib = fp_magnitude_nibbles_vec(fmt, da.magnitude)
-    return PackedOperands(
-        fmt,
-        da.sign.astype(bool),
-        da.unbiased_exp.astype(np.int16),
-        nib.astype(np.uint8),
-    )
+    """Cast ``values`` into ``fmt`` and build its :class:`PackedOperands`.
+
+    One narrow pass: :func:`repro.fp.vecfloat.decode_fields` splits the
+    words in the format's own unsigned width, and the magnitude's nibble
+    digits are written straight into the uint8 plane.
+    """
+    sign, exp, mag = decode_fields(fmt, values)
+    k_total = fp_nibble_count(fmt)
+    if fmt.magnitude_bits != NIBBLE_BITS * k_total:
+        mag <<= 1  # implicit left shift: n0 gets a trailing zero
+    nibbles = np.empty(mag.shape + (k_total,), dtype=np.uint8)
+    for i in range(k_total):
+        digit = mag >> (NIBBLE_BITS * i)
+        digit &= 0xF
+        nibbles[..., i] = digit
+    return PackedOperands(fmt, sign, exp, nibbles)
 
 
 def plan_values(plan: PackedOperands) -> np.ndarray:

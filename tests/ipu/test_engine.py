@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fp.formats import FP16, FP32
-from repro.ipu.engine import KernelPoint, fp_ip_packed, fp_ip_points, pack_operands
+from repro.fp.vecfloat import decode_array, float_to_bits
+from repro.ipu.engine import KernelPoint, fp_ip_packed, fp_ip_points, pack_operands, plan_values
 from repro.ipu.ipu import InnerProductUnit, IPUConfig
 from repro.ipu.seedref import fp_ip_batch_seed
+from repro.nibble.decompose import fp_magnitude_nibbles_vec
 
 CONFIGS = [
     (16, 16, False),  # FP16-accumulator single cycle
@@ -175,3 +177,71 @@ def test_empty_batch():
     res = emulate(z, z, 16)
     assert res.values.shape == (0,)
     assert res.alignment_cycles.shape == (0,)
+
+
+# -- narrow decode parity ------------------------------------------------------
+
+
+def finite_fp16_values():
+    """Every finite fp16 bit pattern (63,488 of them) as a float16 array."""
+    bits = np.arange(1 << 16, dtype=np.uint16)
+    return bits[(bits & 0x7C00) != 0x7C00].view(np.float16)
+
+
+def random_finite_fp32_values(n=1 << 20, seed=29):
+    bits = np.random.default_rng(seed).integers(0, 1 << 32, n, dtype=np.uint64).astype(np.uint32)
+    edges = np.array([0, 0x80000000, 1, 0x007FFFFF, 0x00800000, 0x7F7FFFFF, 0xFF7FFFFF],
+                     dtype=np.uint32)
+    bits = np.concatenate([edges, bits])
+    return bits[(bits & 0x7F800000) != 0x7F800000].view(np.float32)
+
+
+def int64_decode(fmt, values):
+    """Field split done wide in int64: the reference for the narrow decode."""
+    bits = float_to_bits(fmt, values).astype(np.int64)
+    exp = (bits >> fmt.man_bits) & ((1 << fmt.exp_bits) - 1)
+    man = bits & ((1 << fmt.man_bits) - 1)
+    sign = (bits >> (fmt.exp_bits + fmt.man_bits)) & 1
+    magnitude = np.where(exp != 0, man | (1 << fmt.man_bits), man)
+    unbiased = np.where(exp != 0, exp - fmt.bias, fmt.min_exp)
+    return sign, unbiased, magnitude
+
+
+@pytest.mark.parametrize("fmt,make_values", [(FP16, finite_fp16_values),
+                                             (FP32, random_finite_fp32_values)],
+                         ids=["fp16-exhaustive", "fp32-random"])
+def test_narrow_decode_matches_int64_route(fmt, make_values):
+    """pack_operands and decode_array agree with a wide int64 field split
+    plus fp_magnitude_nibbles_vec, in values and in dtypes."""
+    values = make_values()
+    sign, unbiased, magnitude = int64_decode(fmt, values)
+    plan = pack_operands(values, fmt)
+    assert (plan.sign.dtype, plan.exp.dtype, plan.nibbles.dtype) == (bool, np.int16, np.uint8)
+    assert plan.nibbles.shape == values.shape + (plan.k_total,)
+    assert np.array_equal(plan.sign, sign.astype(bool))
+    assert np.array_equal(plan.exp, unbiased)
+    assert np.array_equal(plan.nibbles, fp_magnitude_nibbles_vec(fmt, magnitude))
+
+    dec = decode_array(fmt, values)
+    assert (dec.sign.dtype, dec.unbiased_exp.dtype, dec.magnitude.dtype) == (
+        np.int8, np.int64, np.int64)
+    assert np.array_equal(dec.sign, sign)
+    assert np.array_equal(dec.unbiased_exp, unbiased)
+    assert np.array_equal(dec.magnitude, magnitude)
+
+
+def test_plan_values_round_trips_every_finite_fp16():
+    values = finite_fp16_values()
+    back = plan_values(pack_operands(values))
+    assert np.array_equal(back, values.astype(np.float64))
+    assert np.array_equal(np.signbit(back), np.signbit(values))
+
+
+@pytest.mark.parametrize("fmt", [FP16, FP32], ids=lambda f: f.name)
+@pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan])
+def test_pack_rejects_inf_and_nan(fmt, special):
+    values = np.array([[1.0, special, 0.5]])
+    with pytest.raises(ValueError, match="INF/NaN"):
+        pack_operands(values, fmt)
+    with pytest.raises(ValueError, match="INF/NaN"):
+        decode_array(fmt, values)
