@@ -14,17 +14,23 @@ FP decode (~half the runtime) once per *sweep point* instead of once per
     precision-agnostic, so it is reused across every IPU precision,
     accumulator format, serve mode, and batch slice that touches the tensor.
     Its layout is a contract — ``sign`` bool ``(..., n)``, ``exp`` int16
-    ``(..., n)``, ``nibbles`` uint8 ``(..., n, K)`` LSB-first: the
-    :meth:`PackedOperands.to_buffers` codec ships these planes to process
-    workers, and the golden-model row replay in ``perfbench/`` slices them
-    directly and decodes them with :func:`plan_values`.
+    ``(..., n)``, ``nibbles`` uint8 ``(..., n, K)`` LSB-first. The digits
+    are stored nibble-major, as K contiguous ``(..., n)`` planes
+    (:attr:`PackedOperands.planes`) behind that view. The
+    :meth:`PackedOperands.to_buffers` codec ships the planes to process
+    workers, and the golden-model row replay in ``perfbench/`` slices the
+    view directly and decodes it with :func:`plan_values`. The engine
+    accepts any memory layout of the view; nibble-major is the fast one.
 
 ``fp_ip_points``
     executes any number of :class:`KernelPoint` configurations against a
     packed operand pair in one pass. The batch is processed in cache-sized
-    row chunks; per chunk the pair preparation (product signs, exponent
-    sums, alignment shifts) is computed once and shared by all points, and
-    each point then runs the nibble kernel while the chunk is hot in cache.
+    row chunks; per chunk the pair preparation is computed once and shared
+    by all points, and each point then runs the nibble kernel while the
+    chunk is hot in cache. Preparation reads the (possibly broadcast) plan
+    views directly: int32 exponent sums, row maxima and alignment shifts,
+    product signs as one multiply by a +-1 factor, and one contiguous
+    uint8 -> int32 copy of each operand's digit planes.
 
 The kernels are **fused**. One work tensor of shape ``(K, K, rows, n)``
 holds every nibble pass of a chunk with the pass axes outermost, so each
@@ -190,6 +196,16 @@ class PackedOperands:
     def k_total(self) -> int:
         return self.nibbles.shape[-1]
 
+    @property
+    def planes(self) -> np.ndarray:
+        """The nibble digits as ``(K, ..., n)`` digit planes (a view).
+
+        :func:`pack_operands` stores the planes contiguously, so each plane
+        is one unit-stride run; ``nibbles`` is the same memory seen as
+        ``(..., n, K)``.
+        """
+        return np.moveaxis(self.nibbles, -1, 0)
+
     def __len__(self) -> int:
         return len(self.sign)
 
@@ -211,7 +227,10 @@ class PackedOperands:
 
     def to_buffers(self) -> tuple[dict, list[np.ndarray]]:
         """``(meta, buffers)``: a JSON-safe descriptor plus the plan's three
-        arrays as contiguous buffers.
+        arrays as contiguous buffers: ``sign``, ``exp``, and the nibble
+        digits as :attr:`planes` ``(K, ..., n)``. For a :func:`pack_operands`
+        plan every buffer is the plan's own memory; other layouts (broadcast
+        slabs, C-ordered nibbles) are copied once.
 
         The inverse, :meth:`from_buffers`, reconstructs the plan as zero-copy
         views into whatever memory the buffers were copied to — this is how
@@ -221,16 +240,16 @@ class PackedOperands:
         """
         sign = np.ascontiguousarray(self.sign)
         exp = np.ascontiguousarray(self.exp)
-        nib = np.ascontiguousarray(self.nibbles)
+        planes = np.ascontiguousarray(self.planes)
         meta = {
             "fmt": self.fmt.name,
             "fields": [
                 ("sign", sign.shape, sign.dtype.str),
                 ("exp", exp.shape, exp.dtype.str),
-                ("nibbles", nib.shape, nib.dtype.str),
+                ("planes", planes.shape, planes.dtype.str),
             ],
         }
-        return meta, [sign, exp, nib]
+        return meta, [sign, exp, planes]
 
     @classmethod
     def from_buffers(cls, meta: dict, buffers) -> "PackedOperands":
@@ -245,30 +264,31 @@ class PackedOperands:
         """
         from repro.fp.registry import parse_format
 
-        arrays = [
+        sign, exp, planes = (
             np.frombuffer(buf, dtype=np.dtype(dstr)).reshape(shape)
             for buf, (_, shape, dstr) in zip(buffers, meta["fields"])
-        ]
-        return cls(parse_format(meta["fmt"]), *arrays)
+        )
+        return cls(parse_format(meta["fmt"]), sign, exp, np.moveaxis(planes, 0, -1))
 
 
 def pack_operands(values: np.ndarray, fmt: FPFormat = FP16) -> PackedOperands:
     """Cast ``values`` into ``fmt`` and build its :class:`PackedOperands`.
 
     One narrow pass: :func:`repro.fp.vecfloat.decode_fields` splits the
-    words in the format's own unsigned width, and the magnitude's nibble
-    digits are written straight into the uint8 plane.
+    words in the format's own unsigned width, and each nibble digit is
+    written straight into its own contiguous uint8 plane (nibble-major
+    storage behind the ``(..., n, K)`` ``nibbles`` view).
     """
     sign, exp, mag = decode_fields(fmt, values)
     k_total = fp_nibble_count(fmt)
     if fmt.magnitude_bits != NIBBLE_BITS * k_total:
         mag <<= 1  # implicit left shift: n0 gets a trailing zero
-    nibbles = np.empty(mag.shape + (k_total,), dtype=np.uint8)
+    planes = np.empty((k_total,) + mag.shape, dtype=np.uint8)
     for i in range(k_total):
         digit = mag >> (NIBBLE_BITS * i)
         digit &= 0xF
-        nibbles[..., i] = digit
-    return PackedOperands(fmt, sign, exp, nibbles)
+        planes[i] = digit
+    return PackedOperands(fmt, sign, exp, np.moveaxis(planes, 0, -1))
 
 
 def plan_values(plan: PackedOperands) -> np.ndarray:
@@ -280,10 +300,9 @@ def plan_values(plan: PackedOperands) -> np.ndarray:
     its tensor (:func:`repro.nn.quantize.fake_quantize_fp`).
     """
     fmt = plan.fmt
-    nib = plan.nibbles.astype(np.int64)
     mag = np.zeros(plan.shape, dtype=np.int64)
-    for i in range(plan.k_total):
-        mag += nib[..., i] << (NIBBLE_BITS * i)
+    for i, plane in enumerate(plan.planes):
+        mag += plane.astype(np.int64) << (NIBBLE_BITS * i)
     if fmt.magnitude_bits != NIBBLE_BITS * plan.k_total:
         mag >>= 1  # undo the implicit left shift of the low nibble
     vals = mag.astype(np.float64) * np.exp2(
@@ -344,6 +363,7 @@ def fp_ip_points(
 
     a_sign, a_exp, a_nib = _broadcast_plan(pa, shape)
     b_sign, b_exp, b_nib = _broadcast_plan(pb, shape)
+    a_planes, b_planes = np.moveaxis(a_nib, -1, 0), np.moveaxis(b_nib, -1, 0)
 
     if out is None:
         values = [np.empty(rows) for _ in resolved]
@@ -376,32 +396,30 @@ def fp_ip_points(
     for start in range(0, dim0, block):
         stop = min(start + block, dim0)
         r0, r1 = start * inner, stop * inner
-        sa = np.ascontiguousarray(a_sign[start:stop]).reshape(-1, n)
-        sb = np.ascontiguousarray(b_sign[start:stop]).reshape(-1, n)
-        cb = sa.shape[0]
-        exps = (
-            np.ascontiguousarray(a_exp[start:stop]).reshape(-1, n).astype(np.int64)
-            + np.ascontiguousarray(b_exp[start:stop]).reshape(-1, n)
-        )
-        neg = sa ^ sb                                  # product signs
+        cb = r1 - r0
+        chunk = (k_total, stop - start) + shape[1:]
+        # int32 straight off the (possibly broadcast) int16 views: exponent
+        # sums of two int16 fields cannot overflow, and neither can shifts
+        exps = np.add(a_exp[start:stop], b_exp[start:stop], dtype=np.int32).reshape(cb, n)
+        neg = np.not_equal(a_sign[start:stop], b_sign[start:stop]).reshape(cb, n)
         max_exp = exps.max(axis=1)                     # (cb,)
         shifts = max_exp[:, None] - exps               # (cb, n) >= 0
-        # FP16 alignment shifts are <= 58; clamp defensively below int64's
-        # shift limit (masked lanes are zeroed regardless of the shift).
+        # FP16 shifts stay <= 58, FP32 pairs reach hundreds. A live lane
+        # has shifts < software precision, so the clamp changes no live lane
+        # while that precision is <= 59; it bounds the masked lanes' counts.
         safe_shift = np.minimum(shifts, MAX_FP16_PRODUCT_SHIFT)
 
         regs: list[np.ndarray | None] = [None] * len(resolved)
         n_aligns: list[np.ndarray | None] = [None] * len(resolved)
 
         # plane layout (K, cb, n): every nibble pass is a long contiguous
-        # lane run, which is what the fused ops stream
-        na_p = np.ascontiguousarray(
-            a_nib[start:stop].reshape(-1, n, k_total).transpose(2, 0, 1),
-            dtype=np.int32)
-        nb_p = np.ascontiguousarray(
-            b_nib[start:stop].reshape(-1, n, k_total).transpose(2, 0, 1),
-            dtype=np.int32)
-        np.negative(na_p, out=na_p, where=neg[None, :, :])
+        # lane run, which is what the fused ops stream; nibble-major plans
+        # make each copy below a contiguous uint8 -> int32 cast
+        na_p = bufs.get((k_total, cb, n), np.int32, tag="a")
+        nb_p = bufs.get((k_total, cb, n), np.int32, tag="b")
+        np.copyto(na_p.reshape(chunk), a_planes[:, start:stop])
+        np.copyto(nb_p.reshape(chunk), b_planes[:, start:stop])
+        na_p *= 1 - 2 * neg.astype(np.int32)  # product signs as a +-1 factor
         groups: dict[type, list[tuple[int, _ResolvedPoint]]] = {}
         for idx, r in enumerate(resolved):
             dtype = _as_dtype(work_dtype) or r.work_dtype(n)

@@ -69,7 +69,7 @@ def exponents_from_plan(plan) -> np.ndarray:
     emulation kernels run on. Zero operands (all-zero nibble digits) are
     marked with :data:`ZERO_EXP`, matching :func:`_exponent_of`.
     """
-    live = plan.nibbles.any(axis=-1)
+    live = plan.planes.any(axis=0)  # reduce across the contiguous digit planes
     return np.where(live, plan.exp.astype(np.int64), ZERO_EXP)
 
 

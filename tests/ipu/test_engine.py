@@ -7,9 +7,18 @@ from hypothesis import strategies as st
 
 from repro.fp.formats import FP16, FP32
 from repro.fp.vecfloat import decode_array, float_to_bits
-from repro.ipu.engine import KernelPoint, fp_ip_packed, fp_ip_points, pack_operands, plan_values
+from repro.ipu.engine import (
+    FPIPBatchResult,
+    KernelPoint,
+    PackedOperands,
+    fp_ip_packed,
+    fp_ip_points,
+    pack_operands,
+    plan_values,
+)
 from repro.ipu.ipu import InnerProductUnit, IPUConfig
 from repro.ipu.seedref import fp_ip_batch_seed
+from repro.ipu.theory import MAX_FP16_PRODUCT_SHIFT
 from repro.nibble.decompose import fp_magnitude_nibbles_vec
 
 CONFIGS = [
@@ -135,6 +144,137 @@ def test_broadcast_weight_row_against_batch():
     got = fp_ip_packed(pa, pw, 16)
     want = fp_ip_batch_seed(a, np.broadcast_to(wrow, a.shape).copy(), 16)
     assert_results_equal(got, want)
+
+
+# single-cycle points 8 (sub-product window), 12 and 38 (int64 work dtype),
+# and MC points 12@28 and 10@28 (sp = 1: many serve cycles)
+PAIR_POINTS = [
+    KernelPoint(8), KernelPoint(12), KernelPoint(38),
+    KernelPoint(12, 28, multi_cycle=True), KernelPoint(10, 28, multi_cycle=True),
+]
+
+
+def flat(res):
+    """A result with its leading batch axes flattened to one."""
+    return FPIPBatchResult(res.values.ravel(), res.rounded.ravel(), res.max_exp.ravel(),
+                           res.alignment_cycles.ravel(), res.total_cycles.ravel())
+
+
+def seed_results(a, b, points, in_fmt=FP16):
+    n = a.shape[-1]
+    return [fp_ip_batch_seed(a.reshape(-1, n), b.reshape(-1, n), p.adder_width,
+                             p.software_precision, acc_fmt=p.acc_fmt, in_fmt=in_fmt,
+                             multi_cycle=p.multi_cycle) for p in points]
+
+
+def test_conv_shaped_broadcast_pair_across_chunks():
+    """A (B, C, n) activation plan against one (C, n) weight row, the shape
+    of an emulated conv's kernel call, with chunks that cut through the
+    batch: every field equals the materialized pair and the seed kernel."""
+    rng = np.random.default_rng(31)
+    B, C, n = 7, 5, 16
+    a, _ = wide_operands(rng, (B, C, n))
+    w, _ = wide_operands(rng, (C, n))
+    w_full = np.broadcast_to(w, a.shape).copy()
+    pa, pw = pack_operands(a), pack_operands(w)
+    chunk_rows = 2 * C + 3  # two batch items per chunk, a ragged last chunk
+    got = fp_ip_points(pa, pw, PAIR_POINTS, chunk_rows=chunk_rows)
+    full = fp_ip_points(pa, pack_operands(w_full), PAIR_POINTS, chunk_rows=chunk_rows)
+    for p, g, f, want in zip(PAIR_POINTS, got, full, seed_results(a, w_full, PAIR_POINTS)):
+        assert g.values.shape == (B, C), p
+        assert_results_equal(g, f, p)
+        assert_results_equal(flat(g), want, p)
+    assert max(r.alignment_cycles.max() for r in got) > 1  # MC cycles engaged
+
+
+def c_ordered(plan):
+    """The plan rebuilt with C-ordered (..., n, K) nibbles, as direct
+    ``PackedOperands(...)`` callers and gathered-row replays build it."""
+    return PackedOperands(plan.fmt, plan.sign, plan.exp, np.ascontiguousarray(plan.nibbles))
+
+
+def test_plan_layout_independence():
+    """Results depend on the plan's values, never on its nibble layout."""
+    rng = np.random.default_rng(37)
+    a, b = wide_operands(rng, (40, 3, 16))
+    pa, pb = pack_operands(a), pack_operands(b)
+    want = fp_ip_points(pa, pb, PAIR_POINTS, chunk_rows=20)
+    ca, cb = c_ordered(pa), c_ordered(pb)
+    assert ca.nibbles.flags.c_contiguous and not pa.nibbles.flags.c_contiguous
+    for x, y in [(ca, pb), (pa, cb), (ca, cb)]:
+        for w, g in zip(want, fp_ip_points(x, y, PAIR_POINTS, chunk_rows=20)):
+            assert_results_equal(g, w)
+    rows = rng.choice(40, 9, replace=False)  # fancy-indexed rows, as replayed
+    gathered = fp_ip_points(pa[rows], cb[rows], PAIR_POINTS)
+    for w, g in zip(fp_ip_points(pack_operands(a[rows]), pack_operands(b[rows]),
+                                 PAIR_POINTS), gathered):
+        assert_results_equal(g, w)
+
+
+def test_plan_stores_contiguous_digit_planes():
+    """pack_operands stores nibble-major planes behind the (..., n, K) view;
+    slicing, reshaping and the buffer codec keep them without copying."""
+    rng = np.random.default_rng(41)
+    a, _ = wide_operands(rng, (10, 4, 16))
+    pa = pack_operands(a)
+    assert pa.nibbles.shape == a.shape + (pa.k_total,)
+    assert pa.planes.shape == (pa.k_total,) + a.shape
+    assert pa.planes.flags.c_contiguous
+    for view in (pa[2:7], pa[3], pa.reshape(40), pa.reshape(5, 8)):
+        assert np.shares_memory(view.nibbles, pa.nibbles)
+        assert all(plane.flags.c_contiguous for plane in view.planes)
+    assert pa.reshape(40).planes.flags.c_contiguous
+
+    meta, buffers = pa.to_buffers()
+    assert buffers[2].shape == pa.planes.shape
+    assert np.shares_memory(buffers[2], pa.nibbles)  # shipped without a copy
+    again = PackedOperands.from_buffers(meta, buffers)
+    assert np.shares_memory(again.nibbles, pa.nibbles)  # rebuilt as views
+    assert again.planes.flags.c_contiguous
+    assert np.array_equal(again.nibbles, pa.nibbles)
+    assert np.array_equal(again.sign, pa.sign) and np.array_equal(again.exp, pa.exp)
+
+
+def fp32_extreme_operands(rng, shape):
+    """fp32 operands whose exponents span subnormal to max: even rows mix
+    the whole range (shifts far past the 58-bit clamp), odd rows stay
+    within a 48-exponent window (live lanes at every shift below 28)."""
+    exps = rng.integers(-149, 128, shape)
+    window = rng.integers(-149, 80, (shape[0], 1)) + rng.integers(0, 48, shape)
+    exps[1::2] = window[1::2]
+    mant = rng.uniform(1.0, 1.9, shape) * rng.choice([-1.0, 1.0], shape)
+    values = (mant * np.exp2(exps.astype(np.float64))).astype(np.float32)
+    tiny, big = np.finfo(np.float32).smallest_subnormal, np.finfo(np.float32).max
+    values[0, :4] = [big, tiny, 0.0, -big]
+    return values.astype(np.float64)
+
+
+@pytest.mark.parametrize("point", [KernelPoint(28)] + PAIR_POINTS,
+                         ids=lambda p: f"{p.adder_width}@{p.software_precision or p.adder_width}")
+def test_fp32_exponent_extremes_match_int64_reference(point):
+    """max_exp and alignment_cycles equal an int64 reference computed from
+    plan.exp, with shifts far past the clamp; all fields equal the seed."""
+    rng = np.random.default_rng(43)
+    a, b = fp32_extreme_operands(rng, (48, 16)), fp32_extreme_operands(rng, (48, 16))
+    pa, pb = pack_operands(a, FP32), pack_operands(b, FP32)
+    exps = pa.exp.astype(np.int64) + pb.exp.astype(np.int64)
+    max_exp = exps.max(axis=1)
+    shifts = max_exp[:, None] - exps
+    assert shifts.max() > 4 * MAX_FP16_PRODUCT_SHIFT and pa.exp.min() == FP32.min_exp
+    r = point.resolve()
+    live = shifts < r.software_precision
+    if r.multi_cycle:
+        cycle = np.maximum(0, -(-shifts // r.sp) - 1)  # ceil(shift / sp) - 1
+        cycles = np.where(live, cycle, -1).max(axis=1).clip(0) + 1
+        assert cycles.max() > 2
+    else:
+        cycles = np.ones(len(a), np.int64)
+    with np.errstate(over="ignore"):  # products near 2**254 round to inf
+        got = fp_ip_points(pa, pb, [point], chunk_rows=16)[0]
+        want = seed_results(a, b, [point], FP32)[0]
+    assert np.array_equal(got.max_exp, max_exp)
+    assert np.array_equal(got.alignment_cycles, cycles)
+    assert_results_equal(got, want, point)
 
 
 def test_leading_batch_shape_preserved():
