@@ -36,12 +36,12 @@ def main(quick: bool = False) -> None:
     print(f"evaluating {n_eval} images through the emulated IPU "
           f"at precisions {precisions} (FP32 accumulation)...")
     # one session spans every precision and batch: conv weights are decoded
-    # once per layer, input-batch activation plans are shared across points
+    # once per layer and reused by every later batch and precision
     with EmulationSession() as session:
         points = accuracy_vs_precision(model, images, labels, precisions,
                                        batch_size=16, session=session)
         st = session.stats
-    print(f"(session plan cache: {st.plan_misses} decodes, {st.plan_hits} reuses)")
+    print(f"(conv weight plans: {st.plan_misses} decodes, {st.plan_hits} reuses)")
 
     ref = next(p for p in points if p.precision is None)
     rows = []

@@ -10,15 +10,15 @@ float32.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.fp.formats import FP16, FP32, FPFormat
-from repro.ipu.engine import KernelPoint, PackedOperands, fp_ip_packed, pack_operands
+from repro.ipu.engine import KernelPoint, PackedOperands, pack_operands
 from repro.nn.functional import conv_output_size, im2col
-from repro.nn.layers import BatchNorm2d, Conv2d, GlobalAvgPool, Linear, MaxPool2d, ReLU, Residual, Sequential
-from repro.utils.rng import as_generator
+from repro.nn.layers import Conv2d, Residual, Sequential
 
 __all__ = ["emulated_conv2d", "emulated_forward", "AccuracyPoint", "accuracy_vs_precision",
            "weight_plan"]
@@ -26,19 +26,23 @@ __all__ = ["emulated_conv2d", "emulated_forward", "AccuracyPoint", "accuracy_vs_
 _N_IPU = 16
 
 
-def weight_plan(
-    weight: np.ndarray, n_ipu: int = _N_IPU, plan_cache: dict | None = None
-) -> PackedOperands:
+def _session_or_transient(session):
+    """Context manager yielding ``session`` itself, or a serial
+    :class:`repro.api.EmulationSession` that lives for the duration of the
+    call."""
+    if session is not None:
+        return nullcontext(session)
+    from repro.api.session import EmulationSession
+
+    return EmulationSession()
+
+
+def weight_plan(weight: np.ndarray, n_ipu: int = _N_IPU) -> PackedOperands:
     """Packed plan of a conv weight, reshaped to ``(K, chunks, n_ipu)``.
 
-    ``plan_cache`` memoizes by array identity so one decomposition serves
-    every batch and every IPU precision of an inference run (the cache keeps
-    a reference to the array, pinning the id). Only valid while the weights
-    are not mutated — evaluation-time use.
+    :meth:`repro.api.EmulationSession.weight_plan` caches it per weight
+    array, so one decomposition serves every batch and IPU precision.
     """
-    key = (id(weight), n_ipu)
-    if plan_cache is not None and key in plan_cache:
-        return plan_cache[key][0]
     k = weight.shape[0]
     wmat = weight.reshape(k, -1)
     d = wmat.shape[1]
@@ -46,10 +50,7 @@ def weight_plan(
     pad = chunks * n_ipu - d
     if pad:
         wmat = np.pad(wmat, ((0, 0), (0, pad)))
-    plan = pack_operands(wmat.reshape(k, chunks, n_ipu), FP16)
-    if plan_cache is not None:
-        plan_cache[key] = (plan, weight)
-    return plan
+    return pack_operands(wmat.reshape(k, chunks, n_ipu), FP16)
 
 
 def emulated_conv2d(
@@ -60,7 +61,6 @@ def emulated_conv2d(
     padding: int,
     adder_width: int,
     acc_fmt: FPFormat = FP32,
-    plan_cache: dict | None = None,
     session=None,
 ) -> np.ndarray:
     """Convolution computed through the emulated approximate FP-IP.
@@ -74,17 +74,13 @@ def emulated_conv2d(
     channel's plan at a time, so peak temporary memory is O(B*n) — the seed
     materialized a K-fold broadcast of both operands before emulating.
 
-    ``session`` (an :class:`repro.api.EmulationSession`) routes activation
-    packing through the session's fingerprint cache — one batch's plan is
-    then shared across every IPU precision of an evaluation — and supplies
-    the weight-plan cache; the per-channel kernels also run through the
-    session's execution backend, so large batches split across its
-    thread/process pool (bit-identical results either way). ``plan_cache``
-    is the session-less fallback.
+    ``session`` (an :class:`repro.api.EmulationSession`) keeps the weight
+    plan across calls and runs the per-channel kernels through its execution
+    backend, so large batches split across its thread/process pool
+    (bit-identical results either way). Without one, a transient serial
+    session serves the call.
     """
     n_ipu = _N_IPU
-    if session is not None:
-        plan_cache = session.weight_plan_cache
     k, c, kh, kw = weight.shape
     nimg = x.shape[0]
     ho = conv_output_size(x.shape[2], kh, stride, padding)
@@ -96,20 +92,16 @@ def emulated_conv2d(
     if pad:
         cols = np.pad(cols, ((0, 0), (0, 0), (0, pad)))
     chunked = cols.reshape(nimg * p, chunks, n_ipu)
-    acts = pack_operands(chunked, FP16) if session is None else session.pack(chunked, FP16)
-    wplan = weight_plan(weight, n_ipu, plan_cache)            # (K, chunks, n_ipu)
 
     out = np.empty((k, nimg * p))
-    if session is None:
-        for ch in range(k):
-            res = fp_ip_packed(acts, wplan[ch], adder_width, acc_fmt=acc_fmt)
-            out[ch] = res.values.sum(axis=1)                  # exact chunk partials
-    else:
-        point = KernelPoint(adder_width, acc_fmt=acc_fmt)
+    point = KernelPoint(adder_width, acc_fmt=acc_fmt)
+    with _session_or_transient(session) as session:
+        acts = session.pack(chunked, FP16)
+        wplan = session.weight_plan(weight, n_ipu)            # (K, chunks, n_ipu)
         with session.kernel_scope():  # ship the act plan to workers once
             for ch in range(k):
                 res = session.run_kernels(acts, wplan[ch], [point])[0]
-                out[ch] = res.values.sum(axis=1)
+                out[ch] = res.values.sum(axis=1)              # exact chunk partials
     out_t = out.T.reshape(nimg, p, k).transpose(0, 2, 1)
     if acc_fmt.name == "fp32":
         out_t = out_t.astype(np.float32)
@@ -123,16 +115,14 @@ def emulated_conv2d(
 
 def emulated_forward(
     model: Sequential, x: np.ndarray, adder_width: int | None, acc_fmt: FPFormat = FP32,
-    plan_cache: dict | None = None, conv_fn=None, session=None,
+    session=None,
 ) -> np.ndarray:
     """Forward pass with every Conv2d routed through the emulation.
 
     ``adder_width=None`` runs the plain float32 path (the reference).
-    ``plan_cache`` (a plain dict) carries packed weight plans across calls —
-    pass the same dict for every batch and precision of an evaluation so
-    each layer's weights are decomposed exactly once. ``conv_fn`` swaps the
-    emulated convolution implementation (benchmark/regression hook);
-    ``session`` routes all plan caching through an EmulationSession instead.
+    ``session`` carries the weight plans across calls — pass the same one
+    for every batch and precision of an evaluation so each layer's weights
+    are decomposed exactly once.
     """
 
     def run(layer, h):
@@ -140,13 +130,10 @@ def emulated_forward(
             if adder_width is None:
                 return layer(h)
             bias = None if layer.bias is None else layer.bias.data
-            if conv_fn is not None:
-                return conv_fn(h, layer.weight.data, bias, layer.stride,
-                               layer.padding, adder_width, acc_fmt)
             return emulated_conv2d(
                 h, layer.weight.data, bias,
                 layer.stride, layer.padding, adder_width, acc_fmt,
-                plan_cache=plan_cache, session=session,
+                session=session,
             )
         if isinstance(layer, Residual):
             main = h
@@ -185,31 +172,26 @@ def accuracy_vs_precision(
     precisions: tuple[int, ...] = (8, 10, 12, 16, 28),
     acc_fmt: FPFormat = FP32,
     batch_size: int = 32,
-    plan_cache: dict | None = None,
-    conv_fn=None,
     session=None,
 ) -> list[AccuracyPoint]:
     """Top-1 accuracy at each IPU precision plus the float32 reference,
     with per-batch accuracies (the paper's fluctuation analysis).
 
-    One weight-plan cache spans every precision and batch of the run, so
-    each conv layer's weights are decoded and nibble-split exactly once.
-    With a ``session``, input-batch activation plans are additionally shared
-    across precisions through the session's fingerprint cache.
+    One session (``session``, or a transient serial one) spans every
+    precision and batch of the run, so each conv layer's weights are
+    decoded and nibble-split exactly once.
     """
-    if plan_cache is None:
-        plan_cache = {}
     points = []
-    for w in (None, *precisions):
-        per_batch = []
-        correct = 0
-        for start in range(0, len(labels), batch_size):
-            xb = images[start : start + batch_size]
-            yb = labels[start : start + batch_size]
-            logits = emulated_forward(model, xb, w, acc_fmt, plan_cache, conv_fn,
-                                      session=session)
-            hits = (logits.argmax(axis=1) == yb)
-            per_batch.append(float(hits.mean()))
-            correct += int(hits.sum())
-        points.append(AccuracyPoint(w, correct / len(labels), tuple(per_batch)))
+    with _session_or_transient(session) as session:
+        for w in (None, *precisions):
+            per_batch = []
+            correct = 0
+            for start in range(0, len(labels), batch_size):
+                xb = images[start : start + batch_size]
+                yb = labels[start : start + batch_size]
+                logits = emulated_forward(model, xb, w, acc_fmt, session=session)
+                hits = (logits.argmax(axis=1) == yb)
+                per_batch.append(float(hits.mean()))
+                correct += int(hits.sum())
+            points.append(AccuracyPoint(w, correct / len(labels), tuple(per_batch)))
     return points

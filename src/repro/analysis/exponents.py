@@ -70,14 +70,11 @@ def alignment_histogram(
 def histogram_from_model(
     model, images: np.ndarray, labels: np.ndarray, n_inputs: int = 8,
     samples: int = 4000, rng=None, direction: str = "forward", max_bin: int = 32,
-    session=None,
 ) -> ShiftHistogram:
     """Alignment histogram from *real* tensors of a trained NumPy model.
 
     Forward uses (activation, weight) chunks; backward uses the captured
-    error tensors flowing into each conv against its weights. ``session``
-    (an :class:`repro.api.EmulationSession`) caches the per-tensor decode so
-    re-histogramming (other sample counts, bins, chunk widths) is free.
+    error tensors flowing into each conv against its weights.
     """
     from repro.nn.training import capture_backward_tensors
     from repro.tile.workload import product_exponents_from_tensors
@@ -95,7 +92,7 @@ def histogram_from_model(
             k, c, kh, kw = weights.shape
             weights = weights.transpose(1, 0, 2, 3).reshape(c, k, kh, kw)
         exps = product_exponents_from_tensors(
-            source, weights, 1, 1, n_inputs, 1, per, rng=rng, session=session
+            source, weights, 1, 1, n_inputs, 1, per, rng=rng
         )
         mx = exps.max(axis=-1, keepdims=True)
         all_shifts.append((mx - exps).ravel())

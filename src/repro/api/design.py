@@ -299,8 +299,8 @@ class DesignSession:
         in-flight work, and every computation is deterministic.
     emulation:
         An existing :class:`EmulationSession` to run the numerics half
-        through (shared plan cache). When ``None``, one is created lazily
-        and closed with this session.
+        through (shared executor and weight plans). When ``None``, one is
+        created lazily and closed with this session.
     accuracy:
         The :class:`RunSpec` protocol template for accuracy metrics; its
         ``points`` are ignored (each evaluation injects the design's
@@ -528,8 +528,8 @@ class DesignSession:
 
         Runs the session's accuracy protocol (``spec`` overrides the
         template) with this single precision point through the embedded
-        :class:`EmulationSession` — operand plans are shared across every
-        design that lands on the same adder width.
+        :class:`EmulationSession`; every design that lands on the same
+        precision point reuses the memoized result.
         """
         template = self.accuracy_spec if spec is None else spec
         key = (precision, template)

@@ -3,12 +3,11 @@
 An :class:`EmulationSession` owns the state that ad-hoc entry points used to
 re-create per call:
 
-- a **plan cache** of :class:`repro.ipu.engine.PackedOperands`, keyed by
-  tensor fingerprint (content hash + shape + dtype) and operand format, so
-  a tensor is decoded and nibble-split exactly once no matter how many
-  precision points, accumulator formats, batches, or consumers touch it;
-- a **weight-plan cache** for the convolution path (keyed by array identity,
-  see :func:`repro.analysis.accuracy.weight_plan`);
+- a **weight-plan cache** for the convolution path, keyed by array
+  identity (:meth:`EmulationSession.weight_plan`): the paper's convolution
+  unit keeps weights stationary and streams activations, so a layer's
+  weights are decoded once and reused by every batch and precision, while
+  streamed operands are packed per call;
 - a pluggable **execution backend** (:mod:`repro.api.executor`: ``serial`` /
   ``thread`` / ``process``) that splits large batches chunk-granularly —
   rows are independent, so every backend is bit-exact with serial execution
@@ -25,10 +24,8 @@ Figure-3 protocol, streamed chunk by chunk).
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -63,8 +60,10 @@ MIN_PARALLEL_ROWS = 4096
 
 @dataclass
 class SessionStats:
-    """Plan-cache and executor counters (observability for sizing decisions).
+    """Weight-plan and executor counters (observability for sizing decisions).
 
+    ``plan_hits``/``plan_misses`` count conv weight plans reused from the
+    session's cache and decoded afresh (:meth:`EmulationSession.weight_plan`).
     ``backend``/``workers`` describe the execution backend;
     ``tasks_dispatched`` counts tasks actually handed to a pool and
     ``shm_bytes`` the cumulative shared-memory traffic
@@ -77,8 +76,6 @@ class SessionStats:
 
     plan_hits: int = 0
     plan_misses: int = 0
-    plan_evictions: int = 0
-    plan_bytes: int = 0
     kernel_rows: int = 0
     parallel_batches: int = 0
     backend: str = "serial"
@@ -98,7 +95,7 @@ class SessionStats:
 # SessionStats fields that are monotonic counters (the rest are gauges or
 # descriptive strings); shared by the metrics adapter below.
 _SESSION_COUNTERS = frozenset({
-    "plan_hits", "plan_misses", "plan_evictions", "kernel_rows",
+    "plan_hits", "plan_misses", "kernel_rows",
     "parallel_batches", "tasks_dispatched", "shm_bytes", "shm_bytes_tx",
     "shm_bytes_rx", "results_pickled", "worker_restarts",
     "chunks_redispatched",
@@ -108,23 +105,6 @@ _SESSION_COUNTERS = frozenset({
 def _collect_session_stats(session: "EmulationSession") -> dict:
     session._sync_executor_stats()
     return session.stats.as_dict()
-
-
-def _fingerprint(values: np.ndarray, fmt: FPFormat) -> tuple[tuple, np.ndarray]:
-    """(cache key, format-cast array) for ``values`` under ``fmt``.
-
-    The key hashes the *format-cast* bits rather than the raw input: two
-    inputs that round to the same fp16/fp32 tensor produce identical plans,
-    and hashing the narrow cast is 4-8x less data than the float64 source.
-    The cast is returned so packing can reuse it.
-    """
-    cast = np.ascontiguousarray(values, dtype=np_float_dtype(fmt))
-    digest = hashlib.blake2b(cast.data, digest_size=16).hexdigest()
-    return (fmt.name, cast.shape, digest), cast
-
-
-def _plan_nbytes(plan: PackedOperands) -> int:
-    return plan.sign.nbytes + plan.exp.nbytes + plan.nibbles.nbytes
 
 
 def sweep_points_to_dicts(points) -> list[dict]:
@@ -170,9 +150,6 @@ class EmulationSession:
         Worker count for batch-parallel kernel execution; ``None`` or ``1``
         runs serially (unless ``backend`` says otherwise). Results are
         bit-identical either way.
-    plan_cache_bytes:
-        Byte budget for cached operand plans (LRU eviction). ``0`` disables
-        caching (every :meth:`pack` decodes afresh).
     chunk_rows:
         The one chunk-sizing knob: result rows per engine work chunk, also
         the default granularity of :meth:`fp_ip_points_iter` and of the
@@ -196,7 +173,6 @@ class EmulationSession:
     def __init__(
         self,
         workers: int | None = None,
-        plan_cache_bytes: int = 256 << 20,
         chunk_rows: int | None = None,
         backend=None,
         store=None,
@@ -206,13 +182,11 @@ class EmulationSession:
         self.store = ResultStore.coerce(store)
         self.executor = make_executor(backend, workers)
         self.workers = self.executor.workers
-        self.plan_cache_bytes = plan_cache_bytes
         self.chunk_rows = chunk_rows
         self.stats = SessionStats(backend=self.executor.name,
                                   workers=self.executor.workers)
-        self._plans: OrderedDict[tuple, PackedOperands] = OrderedDict()
-        self._plan_lock = threading.Lock()  # callers may share one session
         self._weight_plans: dict = {}
+        self._weight_lock = threading.Lock()  # callers may share one session
         self._closed = False
         REGISTRY.register_object(
             self, _collect_session_stats, prefix="repro_session",
@@ -222,12 +196,10 @@ class EmulationSession:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the execution backend down and drop all cached plans."""
+        """Shut the execution backend down and drop the cached weight plans."""
         self.executor.close()
         self._sync_executor_stats()
-        self._plans.clear()
         self._weight_plans.clear()
-        self.stats.plan_bytes = 0
         self._closed = True
 
     def _sync_executor_stats(self) -> None:
@@ -246,15 +218,10 @@ class EmulationSession:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    @property
-    def weight_plan_cache(self) -> dict:
-        """Identity-keyed conv weight plans (see ``accuracy.weight_plan``)."""
-        return self._weight_plans
-
     # -- operand plans -----------------------------------------------------
 
     def pack(self, values, fmt: str | FPFormat = "fp16") -> PackedOperands:
-        """Decode-once plan for ``values`` in ``fmt``, cached by content.
+        """Operand plan for ``values`` in ``fmt``, decoded on every call.
 
         Passing an existing :class:`PackedOperands` returns it unchanged
         (after checking the format matches), so call sites can accept either
@@ -269,30 +236,27 @@ class EmulationSession:
                     f"plan is {values.fmt.name}, requested {fmt.name}"
                 )
             return values
-        values = np.asarray(values)
-        if self.plan_cache_bytes <= 0:
-            return pack_operands(values, fmt)
-        key, cast = _fingerprint(values, fmt)
-        with self._plan_lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                self._plans.move_to_end(key)
+        return pack_operands(np.asarray(values), fmt)
+
+    def weight_plan(self, weight: np.ndarray, n_ipu: int) -> PackedOperands:
+        """Conv weight plan (:func:`repro.analysis.accuracy.weight_plan`),
+        decoded once per weight array and reused for the session's lifetime.
+
+        Keyed by array identity; the cache keeps a reference to the array,
+        pinning its id. Only valid while the weights are not mutated
+        (evaluation-time use).
+        """
+        from repro.analysis.accuracy import weight_plan
+
+        key = (id(weight), n_ipu)
+        with self._weight_lock:
+            cached = self._weight_plans.get(key)
+            if cached is None:
+                self.stats.plan_misses += 1
+                cached = self._weight_plans[key] = (weight_plan(weight, n_ipu), weight)
+            else:
                 self.stats.plan_hits += 1
-                return plan
-        plan = pack_operands(cast, fmt)  # decode outside the lock
-        with self._plan_lock:
-            existing = self._plans.get(key)
-            if existing is not None:  # another thread packed the same tensor
-                self.stats.plan_hits += 1
-                return existing
-            self.stats.plan_misses += 1
-            self._plans[key] = plan
-            self.stats.plan_bytes += _plan_nbytes(plan)
-            while self.stats.plan_bytes > self.plan_cache_bytes and len(self._plans) > 1:
-                _, evicted = self._plans.popitem(last=False)
-                self.stats.plan_bytes -= _plan_nbytes(evicted)
-                self.stats.plan_evictions += 1
-        return plan
+        return cached[0]
 
     # -- kernels -----------------------------------------------------------
 
@@ -467,7 +431,7 @@ class EmulationSession:
 
     def conv2d(self, x, weight, bias=None, stride: int = 1, padding: int = 0,
                precision: int = 16, accumulator: str = "fp32") -> np.ndarray:
-        """Convolution through the emulated FP-IP, session-cached plans."""
+        """Convolution through the emulated FP-IP, session-cached weight plans."""
         from repro.analysis.accuracy import emulated_conv2d
 
         acc = parse_accumulator(accumulator)

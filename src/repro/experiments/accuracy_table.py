@@ -27,12 +27,8 @@ def run(
     session=None,
 ) -> list[AccuracyResult]:
     from repro.analysis._model_cache import trained_model
-    from repro.api import EmulationSession
 
     results = []
-    # one session spans styles, precisions, and batches: weight plans are
-    # decoded once per layer, activation plans once per input batch
-    session = session or EmulationSession()
     for style in styles:
         model, dataset = trained_model(style)
         images = dataset.images[-n_eval:]

@@ -29,17 +29,13 @@ def run(n_inputs: int = 8, samples_per_layer: int = 1500, rng: int = 21,
         use_trained_model: bool = False) -> Fig9Result:
     if use_trained_model:
         from repro.analysis._model_cache import trained_model
-        from repro.api import EmulationSession
 
         model, dataset = trained_model("resnet")
-        # one session: captured tensors decode once across both directions
-        with EmulationSession() as session:
-            fwd = histogram_from_model(model, dataset.images[:48], dataset.labels[:48],
-                                       n_inputs, rng=rng, direction="forward",
-                                       session=session)
-            bwd = histogram_from_model(model, dataset.images[:48], dataset.labels[:48],
-                                       n_inputs, rng=rng, direction="backward",
-                                       session=session)
+        images, labels = dataset.images[:48], dataset.labels[:48]
+        fwd = histogram_from_model(model, images, labels, n_inputs, rng=rng,
+                                   direction="forward")
+        bwd = histogram_from_model(model, images, labels, n_inputs, rng=rng,
+                                   direction="backward")
         return Fig9Result(fwd, bwd)
     layers = resnet18_convs()
     fwd = alignment_histogram(layers, n_inputs, "forward", samples_per_layer, rng)

@@ -7,7 +7,6 @@ from repro.ipu.engine import (
     FPIPBatchResult,
     KernelPoint,
     PackedOperands,
-    fp_ip_packed,
     fp_ip_points,
     pack_operands,
 )
@@ -37,5 +36,5 @@ __all__ = [
     "MAX_FP16_PRODUCT_SHIFT", "PRODUCT_MAGNITUDE_BITS",
     "min_adder_width_for_exact", "safe_precision", "theorem1_bound",
     "FPIPBatchResult",
-    "KernelPoint", "PackedOperands", "fp_ip_packed", "fp_ip_points", "pack_operands",
+    "KernelPoint", "PackedOperands", "fp_ip_points", "pack_operands",
 ]

@@ -76,7 +76,6 @@ __all__ = [
     "PackedOperands",
     "pack_operands",
     "plan_values",
-    "fp_ip_packed",
     "fp_ip_points",
     "DEFAULT_CHUNK_ELEMENTS",
     "default_chunk_rows",
@@ -296,8 +295,6 @@ def plan_values(plan: PackedOperands) -> np.ndarray:
 
     Exact inverse of :func:`pack_operands` up to the format cast it performs:
     ``plan_values(pack_operands(x, fmt))`` is ``x`` rounded into ``fmt``.
-    This is what makes a cached plan double as the fake-quantized view of
-    its tensor (:func:`repro.nn.quantize.fake_quantize_fp`).
     """
     fmt = plan.fmt
     mag = np.zeros(plan.shape, dtype=np.int64)
@@ -309,20 +306,6 @@ def plan_values(plan: PackedOperands) -> np.ndarray:
         (plan.exp.astype(np.int64) - fmt.man_bits).astype(np.float64)
     )
     return np.where(plan.sign, -vals, vals)
-
-
-def fp_ip_packed(
-    pa: PackedOperands,
-    pb: PackedOperands,
-    adder_width: int,
-    software_precision: int | None = None,
-    acc_fmt: FPFormat = FP32,
-    multi_cycle: bool = False,
-    chunk_rows: int | None = None,
-) -> FPIPBatchResult:
-    """Emulate one kernel configuration over a packed operand pair."""
-    point = KernelPoint(adder_width, software_precision, multi_cycle, acc_fmt)
-    return fp_ip_points(pa, pb, [point], chunk_rows=chunk_rows)[0]
 
 
 def fp_ip_points(

@@ -6,12 +6,7 @@ provides the usual symmetric per-tensor (or per-channel) quantizer:
 
 :func:`fake_quantize_fp` is the floating-point counterpart: it rounds a
 tensor into any registry format (``"fp16"``, ``"bfloat16"``, custom
-``"e4m3"``, ...) and back. When given an :class:`repro.api.EmulationSession`
-and a format the emulation engine packs (fp16/fp32), the quantized view is
-reconstructed from the session's cached ``PackedOperands`` plan, so the
-decode is shared with emulated kernels that consume the tensor in the same
-shape and format (re-quantization and inner-product operand reuse; the conv
-path chunks its operands into a different shape and packs those separately).
+``"e4m3"``, ...) and back.
 """
 
 from __future__ import annotations
@@ -72,28 +67,14 @@ def fake_quantize(x: np.ndarray, bits: int, per_channel_axis: int | None = None)
     return dequantize(quantize(x, params), params)
 
 
-def fake_quantize_fp(x: np.ndarray, fmt="fp16", session=None) -> np.ndarray:
+def fake_quantize_fp(x: np.ndarray, fmt="fp16") -> np.ndarray:
     """FP fake-quantization: round ``x`` into a registry format and back.
 
     Overflow saturates to the format's largest finite value (the usual
     fake-quant convention). Returns float64 of the quantized values.
-
-    With a ``session`` and an engine-packable format (fp16/fp32), the result
-    is reconstructed from the cached operand plan
-    (:func:`repro.ipu.engine.plan_values`): repeated fake-quantization and
-    emulated kernels that take the tensor in this same shape decode it once.
     """
     from repro.fp.registry import parse_format
 
-    fmt = parse_format(fmt)
-    x = np.asarray(x, dtype=np.float64)
-    if session is not None and fmt.name in ("fp16", "fp32"):
-        from repro.ipu.engine import plan_values
-
-        if not np.all(np.isfinite(x)):  # match the quantize_array contract
-            raise ValueError("fake_quantize_fp got non-finite input")
-        max_finite = fmt.decode_value(fmt.max_finite_bits())
-        return plan_values(session.pack(np.clip(x, -max_finite, max_finite), fmt))
     from repro.fp.vecfloat import quantize_array
 
-    return quantize_array(fmt, x)
+    return quantize_array(parse_format(fmt), np.asarray(x, dtype=np.float64))

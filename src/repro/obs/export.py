@@ -65,12 +65,25 @@ def span_children(spans: Iterable[dict]) -> dict:
     return children
 
 
+def _union_seconds(intervals: list) -> float:
+    """Length of the union of ``(start, end)`` intervals."""
+    total, reach = 0.0, float("-inf")
+    for start, end in sorted(intervals):
+        if end > reach:
+            total += end - max(start, reach)
+            reach = end
+    return total
+
+
 def profile_tree(spans: Iterable[dict]) -> dict:
     """Aggregate spans into a nested name-path tree.
 
     Nodes merge all spans sharing the same *name path* from a root (so 400
     ``executor.chunk`` spans under ``engine.kernels`` become one row with
     ``calls: 400``).  Each node: ``{"name", "calls", "seconds", "children"}``.
+    ``seconds`` is the wall-clock union of the node's spans (from
+    ``start_wall`` and ``duration``), so spans that ran concurrently on a
+    pool count once and a node never shows more time than its parent.
     """
     spans = list(spans)
     by_id = {s["span_id"]: s for s in spans}
@@ -87,6 +100,7 @@ def profile_tree(spans: Iterable[dict]) -> dict:
         return tuple(reversed(path))
 
     root = {"name": "", "calls": 0, "seconds": 0.0, "children": {}}
+    intervals: dict = {}  # id(node) -> (node, [(start, end), ...])
     for s in spans:
         node = root
         for name in path_of(s):
@@ -94,7 +108,10 @@ def profile_tree(spans: Iterable[dict]) -> dict:
                 name, {"name": name, "calls": 0, "seconds": 0.0, "children": {}}
             )
         node["calls"] += 1
-        node["seconds"] += s["duration"]
+        start = s["start_wall"]
+        intervals.setdefault(id(node), (node, []))[1].append((start, start + s["duration"]))
+    for node, spans_at in intervals.values():
+        node["seconds"] = _union_seconds(spans_at)
     return root
 
 

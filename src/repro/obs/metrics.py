@@ -194,6 +194,9 @@ class MetricsRegistry:
             "help": dict(help_text or {}),
         }
         with self._lock:
+            # drop adapters of collected objects, so short-lived owners
+            # (per-call sessions) do not pile up between scrapes
+            self._adapters = [e for e in self._adapters if e["ref"]() is not None]
             self._adapters.append(entry)
 
     def _families_for(self, entry: dict, obj: Any) -> list:

@@ -2,7 +2,7 @@
 
 The service turns the library's sessions into something network clients can
 share: one :class:`~repro.api.EmulationSession` + one
-:class:`~repro.api.DesignSession` (plan caches, value-keyed memos, and an
+:class:`~repro.api.DesignSession` (weight plans, value-keyed memos, and an
 optional persistent :class:`~repro.store.ResultStore`) behind a JSON API::
 
     POST /v1/sweep          body: RunSpec JSON         -> {"job": ..., ...}

@@ -14,7 +14,6 @@ from repro.tile.simulator import (
 )
 from repro.tile.workload import (
     chunks_per_output,
-    exponents_from_plan,
     layer_ip_ops,
     product_exponents_from_tensors,
     sample_product_exponents,
@@ -25,7 +24,7 @@ __all__ = [
     "BASELINE1", "BASELINE2", "BIG_TILE", "CLOCK_GHZ", "SMALL_TILE", "TileConfig",
     "FP16_ITERATIONS", "LayerPerf", "NetworkPerf", "expected_step_cycles",
     "int_mode_cycles", "simulate_layer", "simulate_network", "step_cycle_samples",
-    "chunks_per_output", "exponents_from_plan", "layer_ip_ops",
+    "chunks_per_output", "layer_ip_ops",
     "product_exponents_from_tensors", "sample_product_exponents",
 ]
 

@@ -106,8 +106,9 @@ def expected_step_cycles(
     """Expected cycles per nibble iteration step for this layer/tile.
 
     ``product_exps`` supplies pre-sampled exponents (``(samples, group, n)``,
-    e.g. gathered once from a session's operand plans) so several tile
-    configurations can be costed off one sampling pass.
+    e.g. from real tensors via
+    :func:`repro.tile.workload.product_exponents_from_tensors`) so several
+    tile configurations can be costed off one sampling pass.
     """
     if product_exps is None:
         rng = as_generator(rng)

@@ -32,7 +32,6 @@ from repro.utils.rng import as_generator
 __all__ = [
     "sample_product_exponents",
     "product_exponents_from_tensors",
-    "exponents_from_plan",
     "layer_ip_ops",
     "chunks_per_output",
 ]
@@ -59,26 +58,6 @@ def _exponent_of(values: np.ndarray) -> np.ndarray:
     clipped = np.clip(values, -65504.0, 65504.0)
     dec = decode_array(FP16, clipped)
     return np.where(dec.magnitude == 0, ZERO_EXP, dec.unbiased_exp)
-
-
-def exponents_from_plan(plan) -> np.ndarray:
-    """EHU-view exponents of a :class:`repro.ipu.engine.PackedOperands` plan.
-
-    A packed plan already carries the decoded unbiased exponents, so the
-    tile simulator can sample alignment statistics from the same plan the
-    emulation kernels run on. Zero operands (all-zero nibble digits) are
-    marked with :data:`ZERO_EXP`, matching :func:`_exponent_of`.
-    """
-    live = plan.planes.any(axis=0)  # reduce across the contiguous digit planes
-    return np.where(live, plan.exp.astype(np.int64), ZERO_EXP)
-
-
-def _tensor_exponents(values: np.ndarray, session) -> np.ndarray:
-    """FP16 exponents of a whole tensor, via the session plan cache if given."""
-    if session is None:
-        return _exponent_of(values)
-    clipped = np.clip(values, -65504.0, 65504.0)
-    return exponents_from_plan(session.pack(clipped, FP16))
 
 
 def sample_product_exponents(
@@ -124,18 +103,13 @@ def product_exponents_from_tensors(
     group: int,
     samples: int,
     rng=None,
-    session=None,
 ) -> np.ndarray:
     """Product exponents sampled from *real* captured tensors.
 
     ``inputs`` is an NCHW activation (or backward error) tensor, ``weights``
     a (K, C, kh, kw) filter tensor; inner-product chunks are drawn exactly
-    as the im2col tiling would slice them.
-
-    With a ``session``, whole tensors are decoded once into cached operand
-    plans and the sampled chunks are gathered from the plan exponents —
-    repeated sampling (more samples, other cluster sizes, other tile
-    configs) then re-decodes nothing. Results are identical either way.
+    as the im2col tiling would slice them; only the sampled chunks are
+    decoded.
     """
     from repro.nn.functional import im2col
 
@@ -155,13 +129,6 @@ def product_exponents_from_tensors(
     if pad:
         cols = np.pad(cols, ((0, 0), (0, pad), (0, 0)))
         wmat = np.pad(wmat, ((0, 0), (0, pad)))
-    if session is not None:
-        # decode once per tensor: gather sampled chunks from plan exponents
-        ecols = _tensor_exponents(cols, session).reshape(n_img, chunks, n_inputs, p)
-        ewmat = _tensor_exponents(wmat, session).reshape(k, chunks, n_inputs)
-        ea = ecols[img_idx, chunk_idx, :, pix_idx][:, None, :]
-        ew = ewmat[group_k, chunk_idx[:, None], :]
-        return (ea + ew).astype(np.int64)
     col_chunks = cols.reshape(n_img, chunks, n_inputs, p)
     w_chunks = wmat.reshape(k, chunks, n_inputs)
 

@@ -11,7 +11,6 @@ from repro.ipu.engine import (
     FPIPBatchResult,
     KernelPoint,
     PackedOperands,
-    fp_ip_packed,
     fp_ip_points,
     pack_operands,
     plan_values,
@@ -46,9 +45,14 @@ def wide_operands(rng, shape):
     return a, b
 
 
+def run_point(pa, pb, *args, **kwargs):
+    """One kernel point (``KernelPoint`` arguments) over a packed pair."""
+    return fp_ip_points(pa, pb, [KernelPoint(*args, **kwargs)])[0]
+
+
 def emulate(a, b, *args, **kwargs):
     """One kernel point over raw float operands: pack both, run the engine."""
-    return fp_ip_packed(pack_operands(a), pack_operands(b), *args, **kwargs)
+    return run_point(pack_operands(a), pack_operands(b), *args, **kwargs)
 
 
 def assert_results_equal(got, want, ctx=""):
@@ -105,8 +109,8 @@ def test_plan_reused_across_precisions_matches_fresh():
     a, b = wide_operands(rng, (300, 16))
     pa, pb = pack_operands(a), pack_operands(b)
     for w in (12, 28):
-        reused = fp_ip_packed(pa, pb, w)
-        fresh = fp_ip_packed(pack_operands(a), pack_operands(b), w)
+        reused = run_point(pa, pb, w)
+        fresh = run_point(pack_operands(a), pack_operands(b), w)
         assert_results_equal(reused, fresh, w)
         assert np.array_equal(reused.values, fp_ip_batch_seed(a, b, w).values)
 
@@ -141,7 +145,7 @@ def test_broadcast_weight_row_against_batch():
     a, _ = wide_operands(rng, (64, 16))
     wrow = rng.normal(0, 1, 16).astype(np.float16).astype(np.float64)
     pa, pw = pack_operands(a), pack_operands(wrow)
-    got = fp_ip_packed(pa, pw, 16)
+    got = run_point(pa, pw, 16)
     want = fp_ip_batch_seed(a, np.broadcast_to(wrow, a.shape).copy(), 16)
     assert_results_equal(got, want)
 
@@ -281,7 +285,7 @@ def test_leading_batch_shape_preserved():
     rng = np.random.default_rng(19)
     a, b = wide_operands(rng, (6, 5, 16))
     pa, pb = pack_operands(a), pack_operands(b)
-    res = fp_ip_packed(pa, pb, 16)
+    res = run_point(pa, pb, 16)
     assert res.values.shape == (6, 5)
     flat = emulate(a.reshape(30, 16), b.reshape(30, 16), 16)
     assert np.array_equal(res.values.ravel(), flat.values)
@@ -294,14 +298,14 @@ def test_packed_operands_slicing_and_reshape():
     assert pa.shape == (10, 4, 16) and pa.n == 16 and pa.k_total == 3
     assert pa[2].shape == (4, 16)
     assert pa.reshape(40).shape == (40, 16)
-    row = fp_ip_packed(pa[2], pack_operands(a[2]), 16)
+    row = run_point(pa[2], pack_operands(a[2]), 16)
     assert np.array_equal(row.values, emulate(a[2], a[2], 16).values)
 
 
 def test_point_validation_matches_seed():
     a = np.ones((2, 8))
     with pytest.raises(ValueError):
-        fp_ip_packed(pack_operands(a), pack_operands(a), 12, 28, multi_cycle=False)
+        run_point(pack_operands(a), pack_operands(a), 12, 28, multi_cycle=False)
     with pytest.raises(ValueError):
         KernelPoint(3).resolve()  # unbuildably narrow adder
 
@@ -309,7 +313,7 @@ def test_point_validation_matches_seed():
 def test_mismatched_formats_rejected():
     a = np.ones((2, 8))
     with pytest.raises(ValueError):
-        fp_ip_packed(pack_operands(a, FP16), pack_operands(a, FP32), 16)
+        run_point(pack_operands(a, FP16), pack_operands(a, FP32), 16)
 
 
 def test_empty_batch():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.fp.formats import FP16, FP32
@@ -58,9 +58,22 @@ class TestMCAccuracy:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**31 - 1))
+    @example(28815)
     def test_mc12_matches_wide28_within_ulps(self, seed):
         """MC-IPU(12) vs single-cycle IPU(28), both sw=28: both within the
-        28-bit window of the exact value."""
+        28-bit window of the exact value.
+
+        With window ULP ``u = 2**(max_exp - 28)``, the exact pre-rounding
+        registers (``accumulator.exact()``) agree within ``24 u``: both hold
+        the exact inner product truncated to the window, the multi-cycle
+        unit flooring once per (iteration, cycle) step. The FP32 outputs
+        are those registers rounded to nearest even, and each rounding moves
+        a value by at most half the FP32 spacing at the rounded result, so
+        the outputs agree within ``24 u + np.spacing(np.float32(v))`` for
+        ``v`` the larger output magnitude. One FP32 ULP can be 32 window
+        ULPs (seed 28815: registers 0.25 u apart round to neighbouring FP32
+        values), so the rounded outputs alone cannot meet ``24 u``.
+        """
         rng = np.random.default_rng(seed)
         a = rng.normal(0, 1, 8) * np.exp2(rng.integers(-4, 5, 8))
         b = rng.normal(0, 0.05, 8)
@@ -70,7 +83,11 @@ class TestMCAccuracy:
         r_mc = mc.fp_dot(ab, bb, FP16, FP32)
         r_w = wide.fp_dot(ab, bb, FP16, FP32)
         tol = 24 * 2.0 ** (r_mc.max_exp - 28)
-        assert abs(r_mc.value - r_w.value) <= tol
+        held_mc, held_w = (float(sig) * 2.0**scale for sig, scale in
+                           (mc.accumulator.exact(), wide.accumulator.exact()))
+        assert abs(held_mc - held_w) <= tol
+        value = max(abs(r_mc.value), abs(r_w.value))
+        assert abs(r_mc.value - r_w.value) <= tol + float(np.spacing(np.float32(value)))
 
     def test_figure4_walkthrough_cycles(self):
         """Shifts (0, 8, 7, 2) on MC-IPU(14) (sp=5) -> exactly two cycles."""

@@ -6,7 +6,7 @@ import pytest
 from repro.nn.datasets import make_blob_dataset, make_pattern_dataset
 from repro.nn.layers import Conv2d, ReLU, Sequential
 from repro.nn.models import model_conv_layers, tiny_convnet, tiny_resnet
-from repro.nn.quantize import calibrate, dequantize, fake_quantize, quantize
+from repro.nn.quantize import calibrate, dequantize, fake_quantize, fake_quantize_fp, quantize
 from repro.nn.training import SGD, capture_backward_tensors, evaluate_accuracy, train
 import repro.nn.functional as F
 
@@ -143,3 +143,22 @@ class TestQuantize:
     def test_invalid_bits_rejected(self):
         with pytest.raises(ValueError):
             calibrate(np.ones(4), 1)
+
+    @pytest.mark.parametrize("fmt, dtype", [("fp16", np.float16), ("fp32", np.float32)])
+    def test_fake_quantize_fp_pinned_over_every_finite_fp16(self, fmt, dtype):
+        """Every finite fp16 value (both zeros included) is a fixed point, and
+        values nudged off the fp16 grid round to nearest-even like a NumPy
+        cast. Bit patterns are compared, so the sign of zero is pinned."""
+        words = np.arange(1 << 16, dtype=np.uint16).view(np.float16)
+        grid = words[np.isfinite(words)].astype(np.float64)
+        got = fake_quantize_fp(grid, fmt)
+        assert np.array_equal(got.view(np.int64), grid.view(np.int64))
+        nudged = grid * (1 + 2.0 ** -13)
+        nudged = nudged[np.abs(nudged) <= 65504]
+        want = nudged.astype(dtype).astype(np.float64)
+        got = fake_quantize_fp(nudged, fmt)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_fake_quantize_fp_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            fake_quantize_fp(np.array([np.inf]), "fp16")

@@ -92,6 +92,23 @@ class TestProfile:
         assert any(line.startswith("    engine.kernels") for line in lines)
         assert all(line.rstrip().endswith("%") for line in lines[1:])
 
+    def test_concurrent_children_count_once(self):
+        """Two overlapping pool chunks show their wall-clock union, not the
+        sum of their durations, so they never exceed their parent."""
+        def span(name, sid, parent, start, duration):
+            return {"name": name, "span_id": sid, "parent_id": parent,
+                    "trace_id": "t", "start_wall": start, "duration": duration,
+                    "attrs": {}}
+
+        spans = [span("engine.kernels", "k", None, 10.0, 1.0),
+                 span("executor.chunk", "c1", "k", 10.0, 0.75),
+                 span("executor.chunk", "c2", "k", 10.25, 0.75)]
+        kernels = profile_tree(spans)["children"]["engine.kernels"]
+        chunks = kernels["children"]["executor.chunk"]
+        assert chunks["calls"] == 2
+        assert chunks["seconds"] == 1.0  # [10, 10.75] u [10.25, 11]
+        assert chunks["seconds"] <= kernels["seconds"]
+
     def test_cycle_guard_terminates(self):
         a = {"name": "a", "span_id": "1", "parent_id": "2", "trace_id": "t",
              "start_wall": 0.0, "duration": 0.1, "attrs": {}}

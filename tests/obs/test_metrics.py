@@ -138,6 +138,12 @@ class TestRegistryConventions:
         assert "t_hits" not in reg.render()
         assert reg._adapters == []  # pruned, not just skipped
 
+    def test_short_lived_owners_do_not_pile_up_between_scrapes(self):
+        reg = MetricsRegistry()
+        for i in range(100):  # e.g. one transient session per call
+            reg.register_object(_Holder({"hits": i}), lambda h: h.payload, prefix="t")
+        assert len(reg._adapters) == 1
+
     def test_broken_adapter_does_not_poison_the_scrape(self):
         reg = MetricsRegistry()
         bad = _Holder(None)
