@@ -6,11 +6,12 @@ cluster size, reporting normalized execution time (performance cost) next
 to tile area and power (hardware cost) — the Figure 8 + Figure 10 trade-off
 in one table.
 
-Exponent statistics are sampled *once per (layer, cluster)* and shared by
-every adder width (`simulate_layer(product_exps=...)`): the width only
-changes how the same alignment shifts are served, so no precision point
-re-samples or re-decodes anything. The FP32-accumulation software precision
-comes from the accumulator registry instead of a magic number.
+Simulations go through one `repro.api.DesignSession`
+(`network_perf`), which draws exponent statistics *once per cluster size*
+and costs every adder width off that draw: the width only changes how the
+same worst alignment shifts are served, so no precision point re-samples or
+re-decodes anything. The FP32-accumulation software precision comes from
+the accumulator registry instead of a magic number.
 
 Part 2 (design view): a `repro.api.DesignSession` evaluates paper designs
 *and* custom registry strings (`mc-ipu:8x4@24b`, `nvdla-like:...`) jointly —
@@ -23,8 +24,6 @@ Usage: python examples/design_space.py [resnet18|resnet50|inceptionv3] [--backwa
 
 import sys
 
-import numpy as np
-
 from repro.api import (
     DesignSession,
     DesignSweepSpec,
@@ -34,67 +33,37 @@ from repro.api import (
 )
 from repro.hw.tile_cost import tile_cost
 from repro.ipu.mc_ipu import BASELINE_ADDER_WIDTH
-from repro.nn.zoo import WORKLOADS
 from repro.tile.config import SMALL_TILE
-from repro.tile.simulator import NetworkPerf, simulate_layer
-from repro.tile.workload import sample_product_exponents
 from repro.utils.table import render_table
-
-
-def simulate_shared(layers, tile, software_precision, direction, layer_exps):
-    """simulate_network off pre-sampled per-layer exponents."""
-    perfs = [
-        simulate_layer(layer, tile, software_precision, direction,
-                       product_exps=exps)
-        for layer, exps in zip(layers, layer_exps)
-    ]
-    return NetworkPerf(name="", layers=perfs)
-
-
-def sample_layers(layers, tile, direction, samples, rng):
-    """One exponent sampling pass per layer for this cluster geometry."""
-    seeds = np.random.default_rng(rng).integers(0, 2**63 - 1, size=len(layers))
-    return [
-        sample_product_exponents(
-            layer, tile.c_unroll, tile.effective_cluster_size, samples,
-            direction=direction, rng=np.random.default_rng(seed),
-        )
-        for layer, seed in zip(layers, seeds)
-    ]
 
 
 def main() -> None:
     args = [a for a in sys.argv[1:] if not a.startswith("--")]
     workload = args[0] if args else "resnet18"
     direction = "backward" if "--backward" in sys.argv else "forward"
-    layers = WORKLOADS[workload]()
     # §3.1: FP32 accumulation needs 28 bits of software precision
     software_precision = parse_accumulator("fp32").software_precision
     samples = 256
 
     base_tile = SMALL_TILE.with_precision(BASELINE_ADDER_WIDTH)
-    base_exps = sample_layers(layers, base_tile, direction, samples, rng=0)
-    baseline = simulate_shared(layers, base_tile, software_precision, direction, base_exps)
     base_cost = tile_cost(base_tile, mode="fp")
-
     rows = []
-    for cluster in (1, 4, None):
-        # alignment statistics depend on the lockstep group, not the adder
-        # width: sample once per cluster size, reuse for every width
-        tile0 = SMALL_TILE.with_precision(BASELINE_ADDER_WIDTH, cluster)
-        layer_exps = sample_layers(layers, tile0, direction, samples, rng=0)
-        for width in (12, 16, 20, 28):
-            tile = SMALL_TILE.with_precision(width, cluster)
-            perf = simulate_shared(layers, tile, software_precision, direction,
-                                   layer_exps)
-            cost = tile_cost(tile, mode="fp")
-            rows.append([
-                width,
-                "tile" if cluster is None else cluster,
-                round(perf.normalized_to(baseline), 3),
-                f"{100 * (cost.area_mm2 / base_cost.area_mm2 - 1):+.1f}%",
-                f"{100 * (cost.power_w / base_cost.power_w - 1):+.1f}%",
-            ])
+    with DesignSession() as session:
+        baseline = session.network_perf(workload, base_tile, software_precision,
+                                        direction, samples, rng=0)
+        for cluster in (1, 4, None):
+            for width in (12, 16, 20, 28):
+                tile = SMALL_TILE.with_precision(width, cluster)
+                perf = session.network_perf(workload, tile, software_precision,
+                                            direction, samples, rng=0)
+                cost = tile_cost(tile, mode="fp")
+                rows.append([
+                    width,
+                    "tile" if cluster is None else cluster,
+                    round(perf.normalized_to(baseline), 3),
+                    f"{100 * (cost.area_mm2 / base_cost.area_mm2 - 1):+.1f}%",
+                    f"{100 * (cost.power_w / base_cost.power_w - 1):+.1f}%",
+                ])
     rows.append([BASELINE_ADDER_WIDTH, "-", 1.0, "+0.0%", "+0.0%"])
     rows.sort(key=lambda r: (r[0], str(r[1])))
     print(render_table(

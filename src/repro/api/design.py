@@ -8,7 +8,10 @@ artifact the per-figure scripts used to recompute —
 - **tile costs** per (tile, fp_mode, activity mode),
 - **network performance simulations** keyed by
   ``(workload, tile, software precision, direction, samples, rng)`` — the
-  alignment-cycle statistics behind Table 1, Figure 8 and Figure 10,
+  alignment-cycle statistics behind Table 1, Figure 8 and Figure 10 —
+  costed off **worst-shift samples** keyed by the tile's ``c_unroll`` and
+  cluster size instead of the whole tile, so every adder width shares one
+  draw,
 - **alignment factors** derived from those simulations, and
 - **numerics error sweeps** per :class:`PrecisionPoint` (run through an
   embedded :class:`EmulationSession`, so operand plans are shared too).
@@ -49,7 +52,12 @@ from repro.obs.trace import trace_span
 from repro.store import ResultStore
 from repro.store.fingerprint import fingerprint as _result_key
 from repro.tile.config import SMALL_TILE, TileConfig
-from repro.tile.simulator import FP16_ITERATIONS, NetworkPerf, simulate_network
+from repro.tile.simulator import (
+    FP16_ITERATIONS,
+    NetworkPerf,
+    simulate_network,
+    worst_shift_samples,
+)
 
 from repro.api.executor import make_executor
 from repro.api.session import (
@@ -464,14 +472,30 @@ class DesignSession:
         ``workload`` is a :data:`repro.nn.zoo.WORKLOADS` name or an explicit
         layer list. Simulations are deterministic in ``rng`` (an int seed),
         so value-keyed caching is exact: a cache hit returns precisely what
-        a re-simulation would.
+        a re-simulation would. The worst-shift draw behind a simulation is
+        cached separately (kind ``"shifts"``) under the tile's ``c_unroll``
+        and cluster size only, so tiles differing in adder width share it.
         """
         tile = parse_tile(tile)
         layers = self._layers(workload)
         rng = int(rng)
         key = (layers, tile, software_precision, direction, samples, rng)
-        return self._memoized("perf", key, lambda: simulate_network(
-            layers, tile, software_precision, direction, samples=samples, rng=rng))
+
+        def compute():
+            # the draw has no adder width in it: every width of this
+            # geometry is costed off one memoized sample
+            group = tile.effective_cluster_size
+            worst = self._memoized(
+                "shifts",
+                (layers, tile.c_unroll, group, software_precision,
+                 direction, samples, rng),
+                lambda: worst_shift_samples(
+                    layers, tile.c_unroll, group, software_precision,
+                    direction, samples, rng))
+            return simulate_network(layers, tile, software_precision, direction,
+                                    samples=samples, rng=rng, worst=worst)
+
+        return self._memoized("perf", key, compute)
 
     def alignment_factor(
         self, tile: str | TileConfig, workloads=TABLE1_WORKLOADS,

@@ -145,9 +145,10 @@ def mc_cycle_counts(
     if not skip_empty_cycles:
         # sequential thresholds: last occupied partition index + 1 (min 1)
         return np.maximum(cycles_per_prod.max(axis=-1), 0) + 1
-    # occupied-partition count (ablation)
-    last = int(cycles_per_prod.max(initial=0))
-    counts = np.zeros(batch_shape, dtype=np.int64)
-    for c in range(last + 1):
-        counts += np.any(cycles_per_prod == c, axis=-1)
-    return np.maximum(counts, 1)
+    # occupied-partition count (ablation): distinct non-negative indices
+    # per row, i.e. the sorted row's first occurrences that are not masked
+    ordered = np.sort(cycles_per_prod, axis=-1)
+    first = np.ones(ordered.shape, dtype=bool)
+    first[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    counts = np.count_nonzero(first & (ordered >= 0), axis=-1)
+    return np.maximum(counts, 1).astype(np.int64)

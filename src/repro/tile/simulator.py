@@ -15,6 +15,17 @@ Execution model (paper §3.2-3.3, §4.1):
 The per-layer expected step cost is estimated from sampled product
 exponents; :mod:`repro.tile.cluster` provides the finite-buffer queue
 simulation used to validate the infinite-buffer assumption.
+
+Sample once, cost many. A product's serve cycle ``ceil(s / sp) - 1`` never
+decreases as its shift ``s`` grows, so an IPU's cycle count is the serve
+cycle of its *worst unmasked* shift, and the cluster's lockstep maximum is
+the serve cycle of the worst unmasked shift over the whole step (masked
+shifts count as 0, which keeps an all-masked IPU at one cycle). One
+``(samples,)`` vector of worst shifts per layer therefore prices every
+adder width exactly: :func:`worst_shift_samples` draws it (no adder width
+involved) and :func:`worst_shift_cycles` costs it for one width. Only the
+``skip_empty_cycles`` ablation, which counts occupied partitions, still
+needs the full ``(samples, group, n)`` exponents.
 """
 
 from __future__ import annotations
@@ -23,18 +34,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ipu.ehu import mc_cycle_counts
+from repro.ipu.ehu import mc_cycle_counts, serve_cycles
 from repro.ipu.ipu import SOFTWARE_PRECISION
 from repro.ipu.theory import safe_precision
 from repro.nn.zoo import ConvShape
 from repro.tile.config import TileConfig
 from repro.tile.workload import layer_ip_ops, sample_product_exponents
-from repro.utils.rng import as_generator
+from repro.utils.rng import as_generator, spawn
 
 __all__ = [
     "FP16_ITERATIONS",
     "LayerPerf",
     "NetworkPerf",
+    "worst_shifts",
+    "worst_shift_cycles",
+    "worst_shift_samples",
     "step_cycle_samples",
     "expected_step_cycles",
     "simulate_layer",
@@ -70,6 +84,60 @@ class NetworkPerf:
         return self.total_cycles / baseline.total_cycles
 
 
+def worst_shifts(product_exps: np.ndarray, software_precision: int) -> np.ndarray:
+    """Worst unmasked alignment shift per step, shape ``(samples,)``.
+
+    ``product_exps`` has shape ``(samples, group, n)``. Shifts are taken
+    per IPU (against its own maximum exponent); masked shifts (``>=
+    software_precision``) count as 0; the maximum runs over the whole
+    lockstep group.
+    """
+    exps = np.asarray(product_exps)
+    shifts = exps.max(axis=-1, keepdims=True) - exps
+    shifts[shifts >= software_precision] = 0
+    return shifts.max(axis=(-2, -1))
+
+
+def worst_shift_cycles(
+    worst: np.ndarray, adder_width: int, software_precision: int
+) -> np.ndarray:
+    """Per-step cycles for one nibble iteration off worst shifts.
+
+    Equal, element by element, to the lockstep maximum of
+    :func:`repro.ipu.ehu.mc_cycle_counts` over the products ``worst`` was
+    reduced from (see the module docstring).
+    """
+    if adder_width >= software_precision:
+        return np.ones(np.shape(worst), dtype=np.int64)
+    return serve_cycles(worst, safe_precision(adder_width)) + 1
+
+
+def worst_shift_samples(
+    layers: list[ConvShape],
+    c_unroll: int,
+    group: int,
+    software_precision: int,
+    direction: str = "forward",
+    samples: int = 1024,
+    rng=None,
+) -> tuple[np.ndarray, ...]:
+    """Per-layer worst-shift vectors for :func:`simulate_network`.
+
+    Nothing here depends on the adder width, so one draw costs every width
+    of a ``(c_unroll, group)`` geometry. Per-layer generators come from one
+    :func:`repro.utils.rng.spawn` of ``rng``, so a draw equals the one
+    :func:`simulate_network` makes for the same seed.
+    """
+    return tuple(
+        worst_shifts(
+            sample_product_exponents(layer, c_unroll, group, samples,
+                                     direction=direction, rng=layer_rng),
+            software_precision,
+        )
+        for layer, layer_rng in zip(layers, spawn(as_generator(rng), len(layers)))
+    )
+
+
 def step_cycle_samples(
     product_exps: np.ndarray,
     adder_width: int,
@@ -82,13 +150,15 @@ def step_cycle_samples(
     cycles are computed from the exponent spread, then the lockstep maximum
     is taken over the group axis.
     """
+    if not skip_empty_cycles:
+        return worst_shift_cycles(worst_shifts(product_exps, software_precision),
+                                  adder_width, software_precision)
     exps = np.asarray(product_exps, dtype=np.int64)
-    max_exp = exps.max(axis=-1, keepdims=True)
-    shifts = max_exp - exps
+    shifts = exps.max(axis=-1, keepdims=True) - exps
     masked = shifts >= software_precision
     per_ipu = mc_cycle_counts(
         shifts, masked, safe_precision(adder_width), adder_width,
-        software_precision, skip_empty_cycles=skip_empty_cycles,
+        software_precision, skip_empty_cycles=True,
     )
     return per_ipu.max(axis=-1)
 
@@ -122,6 +192,17 @@ def expected_step_cycles(
     return float(per_step.mean())
 
 
+def _layer_perf(layer: ConvShape, tile: TileConfig, per_iter: float) -> LayerPerf:
+    ip_ops = layer_ip_ops(layer, tile.c_unroll)
+    parallel = tile.n_tiles * tile.ipus_per_tile
+    steps = -(-ip_ops // parallel)
+    return LayerPerf(
+        layer=layer, ip_ops=ip_ops, steps=steps,
+        cycles_per_step=FP16_ITERATIONS * per_iter,
+        cycles=steps * FP16_ITERATIONS * per_iter,
+    )
+
+
 def simulate_layer(
     layer: ConvShape,
     tile: TileConfig,
@@ -133,18 +214,11 @@ def simulate_layer(
     product_exps: np.ndarray | None = None,
 ) -> LayerPerf:
     """Cycle estimate for one conv layer in FP16 mode on this tile config."""
-    ip_ops = layer_ip_ops(layer, tile.c_unroll)
-    parallel = tile.n_tiles * tile.ipus_per_tile
-    steps = -(-ip_ops // parallel)
     per_iter = expected_step_cycles(
         layer, tile, software_precision, direction, samples, rng, skip_empty_cycles,
         product_exps,
     )
-    cycles = steps * FP16_ITERATIONS * per_iter
-    return LayerPerf(
-        layer=layer, ip_ops=ip_ops, steps=steps,
-        cycles_per_step=FP16_ITERATIONS * per_iter, cycles=cycles,
-    )
+    return _layer_perf(layer, tile, per_iter)
 
 
 def simulate_network(
@@ -156,19 +230,39 @@ def simulate_network(
     rng=None,
     name: str = "",
     skip_empty_cycles: bool = False,
+    worst: tuple[np.ndarray, ...] | None = None,
 ) -> NetworkPerf:
     """Simulate every conv layer of a network; per-layer seeds are derived
-    deterministically so results are reproducible and layer-order invariant."""
+    deterministically so results are reproducible and layer-order invariant.
+
+    ``worst`` supplies pre-drawn per-layer worst shifts (from
+    :func:`worst_shift_samples` with this tile's ``c_unroll`` and cluster
+    size), so several adder widths can be costed off one draw.
+    """
     rng = as_generator(rng)
-    seeds = rng.integers(0, 2**63 - 1, size=len(layers))
-    perfs = [
-        simulate_layer(
-            layer, tile, software_precision, direction, samples,
-            np.random.default_rng(seed), skip_empty_cycles,
+    if skip_empty_cycles:
+        if worst is not None:
+            raise ValueError("skip_empty_cycles needs full product exponents, "
+                             "not worst shifts")
+        perfs = [
+            simulate_layer(layer, tile, software_precision, direction, samples,
+                           layer_rng, skip_empty_cycles=True)
+            for layer, layer_rng in zip(layers, spawn(rng, len(layers)))
+        ]
+        return NetworkPerf(name=name, layers=perfs)
+    if worst is None:
+        worst = worst_shift_samples(
+            layers, tile.c_unroll, tile.effective_cluster_size,
+            software_precision, direction, samples, rng,
         )
-        for layer, seed in zip(layers, seeds)
-    ]
-    return NetworkPerf(name=name, layers=perfs)
+    elif len(worst) != len(layers):
+        raise ValueError(f"got {len(worst)} worst-shift vectors for "
+                         f"{len(layers)} layers")
+    return NetworkPerf(name=name, layers=[
+        _layer_perf(layer, tile, float(
+            worst_shift_cycles(w, tile.adder_width, software_precision).mean()))
+        for layer, w in zip(layers, worst)
+    ])
 
 
 def int_mode_cycles(layers: list[ConvShape], tile: TileConfig, a_bits: int, b_bits: int) -> float:

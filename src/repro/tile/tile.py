@@ -15,13 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ipu.ehu import mc_cycle_counts
-from repro.ipu.theory import safe_precision
 from repro.nn.zoo import ConvShape
 from repro.tile.cluster import ClusterSimResult, simulate_tile_queue
 from repro.tile.config import TileConfig
-from repro.tile.simulator import FP16_ITERATIONS, LayerPerf, simulate_layer
-from repro.tile.workload import layer_ip_ops, sample_product_exponents
+from repro.tile.simulator import (
+    FP16_ITERATIONS,
+    LayerPerf,
+    simulate_layer,
+    step_cycle_samples,
+)
+from repro.tile.workload import sample_product_exponents
 from repro.utils.rng import as_generator
 
 __all__ = ["QueuedLayerPerf", "simulate_layer_queued", "buffer_depth_sweep"]
@@ -61,14 +64,8 @@ def _cluster_step_costs(
         layer, tile.c_unroll, tile.effective_cluster_size, steps * n_clusters,
         direction=direction, rng=rng,
     )
-    max_exp = exps.max(axis=-1, keepdims=True)
-    shifts = max_exp - exps
-    masked = shifts >= software_precision
-    per_ipu = mc_cycle_counts(
-        shifts, masked, safe_precision(tile.adder_width), tile.adder_width,
-        software_precision,
-    )
-    per_cluster = per_ipu.max(axis=-1) * FP16_ITERATIONS
+    per_cluster = step_cycle_samples(exps, tile.adder_width,
+                                     software_precision) * FP16_ITERATIONS
     return per_cluster.reshape(steps, n_clusters)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fp.formats import FP16
-from repro.fp.vecfloat import decode_array
+from repro.fp.vecfloat import decode_fields
 from repro.nn.sampling import (
     BACKWARD_ERROR,
     BACKWARD_WEIGHT,
@@ -54,10 +54,11 @@ ZERO_EXP = -1000
 
 
 def _exponent_of(values: np.ndarray) -> np.ndarray:
-    """FP16 unbiased exponents with zero operands marked by ``ZERO_EXP``."""
+    """FP16 unbiased exponents (int16) with zero operands marked by ``ZERO_EXP``."""
     clipped = np.clip(values, -65504.0, 65504.0)
-    dec = decode_array(FP16, clipped)
-    return np.where(dec.magnitude == 0, ZERO_EXP, dec.unbiased_exp)
+    _, exp, magnitude = decode_fields(FP16, clipped)
+    exp[magnitude == 0] = ZERO_EXP
+    return exp
 
 
 def sample_product_exponents(

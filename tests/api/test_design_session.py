@@ -60,6 +60,31 @@ class TestCaches:
                                   "forward", samples=16, rng=5)
         assert perf1.total_cycles == direct.total_cycles
 
+    def test_adder_widths_share_one_worst_shift_draw(self, session):
+        # the design-search ladder: 3 widths x 2 directions x 2 rung sizes
+        # draws one sample set per (direction, samples), never per width
+        from repro.nn.zoo import resnet18_convs
+        from repro.tile.simulator import simulate_network
+
+        for samples in (24, 384):
+            for direction in ("forward", "backward"):
+                for width in (16, 20, 23):
+                    tile = SMALL_TILE.with_precision(width, 8)
+                    perf = session.network_perf("resnet18", tile, 28, direction,
+                                                samples, rng=41)
+                    assert perf == simulate_network(resnet18_convs(), tile, 28,
+                                                    direction, samples, rng=41)
+        assert session.stats.misses.get("shifts") == 4
+        assert session.stats.hits.get("shifts") == 8
+        assert session.stats.misses.get("perf") == 12
+        # a wide tile of the same geometry is costed off the same draw
+        wide = session.network_perf("resnet18", SMALL_TILE.with_precision(38, 8),
+                                    28, "forward", 384, rng=41)
+        assert wide == simulate_network(resnet18_convs(),
+                                        SMALL_TILE.with_precision(38, 8), 28,
+                                        "forward", 384, rng=41)
+        assert session.stats.misses.get("shifts") == 4
+
     def test_equivalent_tile_specs_share_simulations(self, session):
         # 'small' (width from the design) and an explicitly pinned
         # 'small@16b/c8' are the same simulation tile: no recompute
@@ -83,6 +108,42 @@ class TestCaches:
         direct = tile_cost(SMALL_TILE.with_precision(16), mode="fp")
         assert cost == direct
         assert session.tile_cost(SMALL_TILE.with_precision(16), mode="fp") is cost
+
+
+class TestSimulationPins:
+    """Exact floats of the alignment simulations. The golden renders round
+    to 3 decimals, so only these catch a last-bit drift in the costing."""
+
+    ALIGNMENT = {
+        "MC-SER": "1.5828364252061249",
+        "MC-IPU4": "1.5828364252061249",
+        "MC-IPU84": "1.2603246466431095",
+        "MC-IPU8": "1.0839958775029448",
+    }
+    TOTAL_CYCLES = {
+        (12, "forward"): "22152477.375", (12, "backward"): "68036598.0",
+        (16, "forward"): "16861690.125", (16, "backward"): "33830267.625",
+        (20, "forward"): "16229792.25", (20, "backward"): "24114541.5",
+        (23, "forward"): "15974784.0", (23, "backward"): "18734451.75",
+        (38, "forward"): "15974784.0", (38, "backward"): "15974784.0",
+    }
+
+    def test_temporal_paper_design_alignment_factors(self, session):
+        from repro.hw.designs import DESIGNS
+
+        temporal = [n for n, d in DESIGNS.items() if d.fp_mode == "temporal"]
+        assert sorted(temporal) == sorted(self.ALIGNMENT)
+        for name in temporal:
+            factor = session.design_alignment_factor(name, samples=96, rng=41)
+            assert repr(factor) == self.ALIGNMENT[name], name
+
+    @pytest.mark.parametrize("width", [12, 16, 20, 23, 38])
+    def test_resnet18_total_cycles(self, session, width):
+        tile = SMALL_TILE.with_precision(width, 8)
+        for direction in ("forward", "backward"):
+            perf = session.network_perf("resnet18", tile, 28, direction,
+                                        samples=1024, rng=0)
+            assert repr(perf.total_cycles) == self.TOTAL_CYCLES[width, direction]
 
 
 class TestEvaluate:

@@ -123,6 +123,25 @@ class TestVectorizedCycleCounts:
         assert np.all(skip <= seq)
         assert np.all(skip >= 1)
 
+    def test_skip_empty_cycles_matches_partition_loop(self):
+        def loop_counts(shifts, masked, sp):
+            per_prod = np.where(masked, -1, serve_cycles(shifts, sp))
+            counts = np.zeros(per_prod.shape[:-1], dtype=np.int64)
+            for c in range(int(per_prod.max(initial=0)) + 1):
+                counts += np.any(per_prod == c, axis=-1)
+            return np.maximum(counts, 1)
+
+        rng = np.random.default_rng(2)
+        for n, sp, software_precision in ((8, 3, 28), (16, 1, 16), (4, 7, 28)):
+            shifts = rng.integers(0, 40, size=(300, 3, n))
+            masked = shifts >= software_precision
+            masked[::7] = True  # all-masked rows
+            masked[1::11, :, ::2] = True
+            skip = mc_cycle_counts(shifts, masked, sp, sp + 9, software_precision,
+                                   skip_empty_cycles=True)
+            assert skip.dtype == np.int64
+            np.testing.assert_array_equal(skip, loop_counts(shifts, masked, sp))
+
     def test_serve_cycles_vectorized_matches_scalar(self):
         for s in range(0, 40):
             for sp in (3, 5, 7, 19):
