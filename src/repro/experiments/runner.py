@@ -41,11 +41,13 @@ output byte-identical to an untraced run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
+from typing import Callable, NamedTuple
 
-__all__ = ["EXPERIMENTS", "main"]
+__all__ = ["EXPERIMENTS", "MODES", "main"]
 
 
 def _fig3(quick: bool) -> str:
@@ -116,6 +118,19 @@ EXPERIMENTS = {
 }
 
 
+class Result(NamedTuple):
+    """A run's output, its ``[<tag> <footer> done in Xs]`` line and --json."""
+
+    output: str
+    tag: str
+    footer: str
+    doc: dict
+
+
+class _Fail(Exception):
+    """Ends a run with this one-line message on stderr and exit code 2."""
+
+
 def _session_executor(spec_executor, backend: str | None, workers: int | None):
     """Resolve a replay's backend: CLI flags override the spec's executor."""
     from repro.api import ExecutorSpec
@@ -127,96 +142,73 @@ def _session_executor(spec_executor, backend: str | None, workers: int | None):
     return spec.merged(backend=backend, workers=workers)
 
 
-def _run_spec(path: str, workers: int | None, backend: str | None = None,
-              store: str | None = None) -> str:
-    """Replay a declarative RunSpec JSON through an emulation session."""
-    from repro.api import EmulationSession, RunSpec, render_sweep
+def _replay(args) -> Result:
+    """Replay a --spec RunSpec or --design-spec DesignSweepSpec locally."""
+    from repro import api
 
+    if args.spec is not None:
+        path, what, load, open_session, render = (
+            args.spec, "spec", api.RunSpec.from_json, api.EmulationSession,
+            api.render_sweep)
+    else:
+        path, what, load, open_session, render = (
+            args.design_spec, "design spec", api.DesignSweepSpec.from_json,
+            api.DesignSession, api.render_design_reports)
     try:  # bad files/specs exit cleanly; sweep bugs must keep their traceback
-        spec = RunSpec.from_json(path)
+        spec = load(path)
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise SystemExit(f"cannot load spec {path!r}: {exc}")
-    executor = _session_executor(spec.executor, backend, workers)
-    with EmulationSession(backend=executor, store=store) as session:
-        sweep = session.sweep(spec)
-        session._sync_executor_stats()
-        stats = session.stats.as_dict()
-    return render_sweep(sweep, title=spec.name), stats
-
-
-def _run_design_spec(path: str, workers: int | None, backend: str | None = None,
-                     store: str | None = None) -> str:
-    """Replay a DesignSweepSpec JSON through a design session."""
-    from repro.api import DesignSession, DesignSweepSpec, render_design_reports
-
-    try:
-        spec = DesignSweepSpec.from_json(path)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise SystemExit(f"cannot load design spec {path!r}: {exc}")
-    executor = _session_executor(spec.executor, backend, workers)
-    with DesignSession(backend=executor, store=store) as session:
-        reports = session.sweep(spec)
-        stats = session.stats.as_dict()
-    return render_design_reports(reports, title=spec.name), stats
+        raise _Fail(f"cannot load {what} {path!r}: {exc}")
+    executor = _session_executor(spec.executor, args.backend, args.workers)
+    with open_session(backend=executor, store=args.store) as session:
+        output = render(session.sweep(spec), title=spec.name)
+    # closing the session synced its executor counters into the stats
+    return Result(output, "spec", path,
+                  {"spec": path, "stats": session.stats.as_dict()})
 
 
 def _fleet_coordinator(args):
-    """Build the --fleet coordinator (None + printed error on bad URLs)."""
+    """The --fleet coordinator; a list with no endpoint URL ends the run."""
     from repro.fleet import FleetCoordinator
 
     urls = [u.strip() for u in args.fleet.split(",") if u.strip()]
     if not urls:
-        print("--fleet needs at least one endpoint URL", file=sys.stderr)
-        return None
+        raise _Fail("--fleet needs at least one endpoint URL")
     return FleetCoordinator(urls, shards=args.shards, token=args.token,
                             store=args.store)
 
 
-def _run_fleet(args, path: str, kind: str) -> int:
-    """Shard a spec across --fleet endpoints and print the merged result
-    (body byte-identical to the unsharded --spec/--design-spec output).
-    With --store, store-warm shards are served from disk undispatched."""
+def _replay_fleet(args) -> Result:
+    """Shard a --spec/--design-spec across --fleet endpoints and merge the
+    result (byte-identical to the local replay). With --store, store-warm
+    shards are served from disk undispatched."""
     from repro.fleet import FleetError
     from repro.service import ServiceError
 
+    path, kind = ((args.spec, "sweep") if args.spec is not None
+                  else (args.design_spec, "design-sweep"))
     coordinator = _fleet_coordinator(args)
-    if coordinator is None:
-        return 2
     try:
         with open(path) as fh:
             spec_dict = json.load(fh)
-    except (OSError, ValueError) as exc:  # unreadable file or malformed JSON
-        print(f"cannot load spec {path!r}: {exc}", file=sys.stderr)
-        return 2
-    start = time.time()
-    try:
         result = coordinator.run(spec_dict, kind=kind)
-    except ValueError as exc:  # an invalid spec body fails the plan build
-        print(f"cannot load spec {path!r}: {exc}", file=sys.stderr)
-        return 2
+    except (OSError, ValueError) as exc:  # unreadable, malformed or invalid
+        raise _Fail(f"cannot load spec {path!r}: {exc}")
     except (FleetError, ServiceError) as exc:
-        print(f"fleet error: {exc}", file=sys.stderr)
-        return 2
-    print(result["rendered"])
-    elapsed = round(time.time() - start, 3)
+        raise _Fail(f"fleet error: {exc}")
     stats = coordinator.stats()
     if stats["shards_local"]:
         print(f"fleet degraded: {stats['shards_local']} shard(s) ran locally "
               "(endpoints unreachable)", file=sys.stderr)
-    print(f"[fleet {path} over {len(coordinator.endpoints)} endpoints / "
-          f"{stats['shards_completed']} shards "
-          f"(retries={stats['retries']} redispatches={stats['redispatches']} "
-          f"warm={stats['shards_skipped_warm']} local={stats['shards_local']}) "
-          f"done in {elapsed:.1f}s]")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump({"spec": path, "fleet": stats, "stats": stats,
-                       "seconds": {"fleet": elapsed}}, fh, indent=2)
-            fh.write("\n")
-    return 0
+    return Result(result["rendered"], "fleet",
+                  f"{path} over {len(coordinator.endpoints)} endpoints / "
+                  f"{stats['shards_completed']} shards "
+                  f"(retries={stats['retries']} redispatches="
+                  f"{stats['redispatches']} warm={stats['shards_skipped_warm']}"
+                  f" local={stats['shards_local']})",
+                  {"spec": path, "stats": stats})
 
 
-def _run_search(args) -> int:
+def _search(args) -> Result:
     """Run (or resume) a SearchSpec JSON: locally through a SearchSession,
     or across --fleet endpoints (one job per rung candidate)."""
     from repro.fleet import FleetError
@@ -226,36 +218,21 @@ def _run_search(args) -> int:
     try:
         spec = SearchSpec.from_json(args.search)
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"cannot load search spec {args.search!r}: {exc}",
-              file=sys.stderr)
-        return 2
-    fleet = None
-    if args.fleet is not None:
-        fleet = _fleet_coordinator(args)
-        if fleet is None:
-            return 2
+        raise _Fail(f"cannot load search spec {args.search!r}: {exc}")
+    fleet = None if args.fleet is None else _fleet_coordinator(args)
     executor = _session_executor(spec.executor, args.backend, args.workers)
-    start = time.time()
     try:
         with SearchSession(store=args.store, backend=executor,
                            fleet=fleet) as session:
             result = session.run(spec)
     except (FleetError, ServiceError) as exc:
-        print(f"fleet error: {exc}", file=sys.stderr)
-        return 2
-    print(render_search(result))
-    elapsed = round(time.time() - start, 3)
+        raise _Fail(f"fleet error: {exc}")
     stats = session.stats.to_dict()
-    print(f"[search {args.search} rungs={stats['rungs_total']} "
-          f"resumed={stats['rungs_resumed']} evaluated={stats['evaluated']} "
-          f"computed={stats['computed']} cached={stats['cached']} "
-          f"done in {elapsed:.1f}s]")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump({"search": args.search, "stats": stats,
-                       "seconds": {"search": elapsed}}, fh, indent=2)
-            fh.write("\n")
-    return 0
+    return Result(render_search(result), "search",
+                  f"{args.search} rungs={stats['rungs_total']} resumed="
+                  f"{stats['rungs_resumed']} evaluated={stats['evaluated']} "
+                  f"computed={stats['computed']} cached={stats['cached']}",
+                  {"search": args.search, "stats": stats})
 
 
 def _serve(args) -> int:
@@ -297,43 +274,32 @@ def _serve(args) -> int:
     return 0
 
 
-def _submit(args) -> int:
-    """Submit a spec file to a running service and print its result."""
+def _submit(args) -> Result:
+    """Submit a spec file to a running service and return its result."""
+    from repro.obs.trace import trace_ingest
     from repro.service import ServiceClient, ServiceError
 
     client = ServiceClient(args.url or "http://127.0.0.1:8731",
                            token=args.token)
-    start = time.time()
     try:
         ticket = client.submit(args.submit)
         result = client.result(ticket["job"], timeout=600.0)
     except (OSError, ValueError) as exc:  # unreadable file or malformed JSON
-        print(f"cannot load spec {args.submit!r}: {exc}", file=sys.stderr)
-        return 2
+        raise _Fail(f"cannot load spec {args.submit!r}: {exc}")
     except ServiceError as exc:
-        print(f"service error: {exc}", file=sys.stderr)
-        return 2
-    from repro.obs.trace import trace_ingest
-
+        raise _Fail(f"service error: {exc}")
     spans = result.pop("trace_spans", None) if isinstance(result, dict) else None
     if spans:  # the service's job spans, parented under our trace
         trace_ingest(spans)
-    print(result["rendered"])
-    elapsed = round(time.time() - start, 3)
-    print(f"[submit {args.submit} job {ticket['job']} "
-          f"coalesced={str(ticket.get('coalesced', False)).lower()} "
-          f"done in {elapsed:.1f}s]")
-    if args.json:
-        try:
-            stats = client.stats()
-        except ServiceError:  # stats are best-effort observability
-            stats = None
-        with open(args.json, "w") as fh:
-            json.dump({"submit": args.submit, "job": ticket["job"],
-                       "stats": stats, "seconds": {"submit": elapsed}},
-                      fh, indent=2)
-            fh.write("\n")
-    return 0
+    try:
+        stats = client.stats() if args.json else None
+    except ServiceError:  # stats are best-effort observability
+        stats = None
+    return Result(result["rendered"], "submit",
+                  f"{args.submit} job {ticket['job']} coalesced="
+                  f"{str(ticket.get('coalesced', False)).lower()}",
+                  {"submit": args.submit, "job": ticket["job"],
+                   "stats": stats})
 
 
 def _verify_store(args) -> int:
@@ -344,252 +310,16 @@ def _verify_store(args) -> int:
     try:
         report = ResultStore(args.verify_store).verify()
     except OSError as exc:
-        print(f"cannot verify store {args.verify_store!r}: {exc}",
-              file=sys.stderr)
-        return 2
+        raise _Fail(f"cannot verify store {args.verify_store!r}: {exc}")
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("experiments", nargs="*", help="experiment ids (see --list)")
-    parser.add_argument("--all", action="store_true", help="run every experiment")
-    parser.add_argument("--quick", action="store_true", help="reduced sample counts")
-    parser.add_argument("--list", action="store_true", help="list experiment ids")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="write per-experiment wall-clock seconds to PATH")
-    parser.add_argument("--spec", metavar="PATH", default=None,
-                        help="run a declarative RunSpec JSON (repro.api) instead "
-                             "of a named experiment")
-    parser.add_argument("--design-spec", metavar="PATH", default=None,
-                        help="run a declarative DesignSweepSpec JSON through a "
-                             "DesignSession (joint accuracy x efficiency report)")
-    parser.add_argument("--search", metavar="PATH", default=None,
-                        help="run (or, with --store, resume) a SearchSpec JSON: "
-                             "budgeted successive-halving design-space search "
-                             "(repro.search)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="session workers for --spec/--design-spec/--serve runs")
-    parser.add_argument("--backend", choices=("serial", "thread", "process"),
-                        default=None,
-                        help="execution backend for --spec/--design-spec/--serve "
-                             "runs (overrides the spec's executor field; results "
-                             "are bit-identical across backends)")
-    parser.add_argument("--store", metavar="DIR", default=None,
-                        help="persistent result store directory for --spec/"
-                             "--design-spec/--search/--serve runs (warm replays "
-                             "are served from disk; interrupted sweeps and "
-                             "searches resume); with --fleet it backs the "
-                             "coordinator's warm-shard payload cache")
-    parser.add_argument("--serve", action="store_true",
-                        help="run the HTTP sweep service (repro.service) over "
-                             "one shared session pair until POST /v1/shutdown")
-    parser.add_argument("--port", type=int, default=None,
-                        help="--serve listen port (0 = ephemeral; default 8731)")
-    parser.add_argument("--host", default=None,
-                        help="--serve bind address (default 127.0.0.1; "
-                             "non-loopback binds require --token)")
-    parser.add_argument("--service-workers", type=int, default=None,
-                        help="--serve job-queue worker pool size (default 1; "
-                             "distinct jobs run in parallel, identical "
-                             "fingerprints still coalesce)")
-    parser.add_argument("--queue-cap", type=int, default=None,
-                        help="--serve max queued jobs before submits get "
-                             "HTTP 429 + Retry-After (default: unbounded)")
-    parser.add_argument("--max-finished-jobs", type=int, default=None,
-                        help="--serve finished-job retention before the oldest "
-                             "results are dropped (default 1024)")
-    parser.add_argument("--token", default=None,
-                        help="bearer token: required by --serve on non-loopback "
-                             "binds, sent by --submit/--fleet clients (default: "
-                             "the REPRO_SERVICE_TOKEN environment variable)")
-    parser.add_argument("--submit", metavar="PATH", default=None,
-                        help="submit a RunSpec/DesignSweepSpec/SearchSpec JSON "
-                             "to a running service (kind auto-detected) and "
-                             "print its result")
-    parser.add_argument("--url", metavar="URL", default=None,
-                        help="service URL for --submit "
-                             "(default http://127.0.0.1:8731)")
-    parser.add_argument("--fleet", metavar="URLS", default=None,
-                        help="comma-separated service URLs: shard a --spec/"
-                             "--design-spec across them and merge the results "
-                             "byte-identically to a local run")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="--fleet shard count (default: one per endpoint; "
-                             "clamped to the sharded axis length)")
-    parser.add_argument("--chaos", metavar="PATH", default=None,
-                        help="arm a repro.chaos FaultPlan JSON for the run: "
-                             "deterministic fault injection at the layer "
-                             "boundaries (recovery keeps results "
-                             "byte-identical; a [chaos ...] footer reports "
-                             "the injected counts)")
-    parser.add_argument("--trace", metavar="PATH", default=None,
-                        help="arm the repro.obs tracer for the run and write "
-                             "a Chrome trace-event JSON (Perfetto / "
-                             "chrome://tracing) to PATH; spans cover every "
-                             "layer crossed, including remote service jobs; "
-                             "the result output stays byte-identical")
-    parser.add_argument("--profile", action="store_true",
-                        help="arm the repro.obs tracer and print a per-phase "
-                             "wall-time tree after the result")
-    parser.add_argument("--verify-store", metavar="DIR", default=None,
-                        help="verify every entry of a result-store directory "
-                             "against its checksum sidecar and print the JSON "
-                             "report (corrupt entries are quarantined, "
-                             "never served)")
-    args = parser.parse_args(argv)
-
-    if args.list:
-        for name, (_, desc) in EXPERIMENTS.items():
-            print(f"{name:10s} {desc}")
-        return 0
-    modes = [flag for flag, on in (("--spec", args.spec is not None),
-                                   ("--design-spec", args.design_spec is not None),
-                                   ("--search", args.search is not None),
-                                   ("--serve", args.serve),
-                                   ("--submit", args.submit is not None),
-                                   ("--verify-store",
-                                    args.verify_store is not None)) if on]
-    if len(modes) > 1:
-        print(f"{' and '.join(modes)} are mutually exclusive", file=sys.stderr)
-        return 2
-    if modes and (args.experiments or args.all):
-        print(f"{modes[0]} cannot be combined with named experiments", file=sys.stderr)
-        return 2
-    session_modes = {"--spec", "--design-spec", "--search", "--serve"}
-    for flag, on, needs in (
-        ("--backend", args.backend is not None, session_modes),
-        ("--workers", args.workers is not None, session_modes),
-        ("--store", args.store is not None, session_modes),
-        ("--port", args.port is not None, {"--serve"}),
-        ("--host", args.host is not None, {"--serve"}),
-        ("--service-workers", args.service_workers is not None, {"--serve"}),
-        ("--queue-cap", args.queue_cap is not None, {"--serve"}),
-        ("--max-finished-jobs", args.max_finished_jobs is not None, {"--serve"}),
-        ("--url", args.url is not None, {"--submit"}),
-        ("--fleet", args.fleet is not None,
-         {"--spec", "--design-spec", "--search"}),
-        ("--chaos", args.chaos is not None, session_modes),
-        ("--trace", args.trace is not None,
-         {"--spec", "--design-spec", "--search", "--submit"}),
-        ("--profile", args.profile,
-         {"--spec", "--design-spec", "--search", "--submit"}),
-    ):
-        if on and not (modes and modes[0] in needs):
-            print(f"{flag} only applies to {'/'.join(sorted(needs))} runs",
-                  file=sys.stderr)
-            return 2
-    if args.shards is not None and args.fleet is None:
-        print("--shards only applies to --fleet runs", file=sys.stderr)
-        return 2
-    if args.shards is not None and args.search is not None:
-        print("--shards does not apply to --search runs (rungs dispatch one "
-              "job per candidate, not a shard plan)", file=sys.stderr)
-        return 2
-    if args.token is not None and not (args.serve or args.submit is not None
-                                       or args.fleet is not None):
-        print("--token only applies to --serve/--submit/--fleet runs",
-              file=sys.stderr)
-        return 2
-    if args.fleet is not None:
-        # --store stays allowed: it backs the coordinator's warm-shard cache
-        for flag, on in (("--backend", args.backend is not None),
-                         ("--workers", args.workers is not None)):
-            if on:
-                print(f"{flag} does not apply to --fleet runs (session "
-                      "configuration lives on the service instances)",
-                      file=sys.stderr)
-                return 2
-    if args.json is not None and args.serve:
-        print("--json does not apply to --serve (use GET /v1/stats)",
-              file=sys.stderr)
-        return 2
-    if args.verify_store is not None:
-        return _verify_store(args)
-    if args.trace is None and not args.profile:
-        return _chaos_dispatch(args, parser)
-    from repro.obs.export import render_profile, to_chrome_trace
-    from repro.obs.trace import install as obs_install
-    from repro.obs.trace import trace_span
-
-    mode = modes[0].lstrip("-") if modes else "experiments"
-    with obs_install() as tracer:
-        with trace_span("runner", mode=mode):
-            rc = _chaos_dispatch(args, parser)
-        spans = tracer.export()
-    if args.trace is not None:
-        try:
-            with open(args.trace, "w") as fh:
-                json.dump(to_chrome_trace(spans), fh)
-                fh.write("\n")
-        except OSError as exc:
-            print(f"cannot write trace {args.trace!r}: {exc}", file=sys.stderr)
-            return 2
-        print(f"[trace {args.trace} spans={len(spans)} "
-              f"dropped={tracer.dropped}]")
-    if args.profile:
-        print(render_profile(spans))
-    return rc
-
-
-def _chaos_dispatch(args, parser) -> int:
-    """:func:`_dispatch`, under a chaos engine when ``--chaos`` asked."""
-    if args.chaos is None:
-        return _dispatch(args, parser)
-    from repro.chaos import FaultPlan, install
-
-    try:
-        plan = FaultPlan.load(args.chaos)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"cannot load chaos plan {args.chaos!r}: {exc}", file=sys.stderr)
-        return 2
-    with install(plan) as engine:
-        rc = _dispatch(args, parser)
-        stats = engine.stats()
-    print(f"[chaos {args.chaos} seed={stats['seed']} "
-          f"faults={len(stats['faults'])} "
-          f"injected={sum(stats['injected'].values())}]")
-    return rc
-
-
-def _dispatch(args, parser) -> int:
-    """Run the validated mode (everything below the flag checks)."""
-    if args.serve:
-        return _serve(args)
-    if args.submit is not None:
-        return _submit(args)
-    if args.search is not None:
-        return _run_search(args)
-    if args.spec is not None or args.design_spec is not None:
-        path = args.spec if args.spec is not None else args.design_spec
-        if args.fleet is not None:
-            kind = "sweep" if args.spec is not None else "design-sweep"
-            return _run_fleet(args, path, kind)
-        start = time.time()
-        try:
-            if args.spec is not None:
-                output, stats = _run_spec(path, args.workers, args.backend,
-                                          args.store)
-            else:
-                output, stats = _run_design_spec(path, args.workers,
-                                                 args.backend, args.store)
-        except SystemExit as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        print(output)
-        elapsed = round(time.time() - start, 3)
-        print(f"[spec {path} done in {elapsed:.1f}s]")
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump({"spec": path, "stats": stats,
-                           "seconds": {"spec": elapsed}}, fh, indent=2)
-                fh.write("\n")
-        return 0
+def _experiments(args) -> int:
+    """Run the named (or, with --all, every) paper experiment."""
     names = list(EXPERIMENTS) if args.all else args.experiments
     if not names:
-        parser.print_help()
+        _parser().print_help()
         return 2
     timings: dict[str, float] = {}
     for name in names:
@@ -603,11 +333,217 @@ def _dispatch(args, parser) -> int:
         timings[name] = round(time.time() - start, 3)
         print(f"[{name} done in {timings[name]:.1f}s]")
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump({"quick": args.quick, "seconds": timings}, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.json, {"quick": args.quick, "seconds": timings})
         print(f"[timings written to {args.json}]")
     return 0
+
+
+def _write_json(path: str, doc: dict, indent: int | None = 2) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=indent)
+        fh.write("\n")
+
+
+class Mode(NamedTuple):
+    """How help and errors name a mode, its runner, the flags it accepts."""
+
+    label: str
+    run: Callable[[argparse.Namespace], "Result | int"]
+    flags: str
+
+
+_REPLAY = "--json --store --chaos --trace --profile"
+_LOCAL = f"{_REPLAY} --backend --workers"  # fleets configure their services
+_FLEET = Mode("--spec/--design-spec --fleet", _replay_fleet,
+              f"{_REPLAY} --fleet --token --shards")
+
+# The one statement of which flag each run mode accepts. A mode's own flag
+# selects it (named experiments count as "--experiments"; they are also the
+# default), or its " --fleet" row when --fleet is given. The runner span's
+# ``mode`` is the selecting row's name.
+MODES: dict[str, Mode] = {
+    "experiments": Mode("experiment", _experiments, "--all --quick --json"),
+    "spec": Mode("--spec", _replay, _LOCAL),
+    "design-spec": Mode("--design-spec", _replay, _LOCAL),
+    "spec --fleet": _FLEET,
+    "design-spec --fleet": _FLEET,
+    "search": Mode("--search", _search, _LOCAL),
+    # rungs dispatch one job per candidate, not a shard plan: no --shards
+    "search --fleet": Mode("--search --fleet", _search,
+                           f"{_REPLAY} --fleet --token"),
+    "serve": Mode("--serve", _serve,
+                  "--backend --workers --store --chaos --port --host --token "
+                  "--service-workers --queue-cap --max-finished-jobs"),
+    "submit": Mode("--submit", _submit,
+                   "--json --trace --profile --url --token"),
+    "verify-store": Mode("--verify-store", _verify_store, ""),
+}
+
+
+def _applies_to(flag: str) -> str:
+    """The modes that accept ``flag``, as help and errors name them."""
+    return ", ".join(dict.fromkeys(
+        mode.label for mode in MODES.values() if flag in mode.flags.split()))
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+
+    def bound(flag: str, help: str, **kwargs) -> None:  # help names its modes
+        parser.add_argument(flag, help=f"{help}; for {_applies_to(flag)} runs",
+                            **kwargs)
+
+    parser.add_argument("experiments", nargs="*", help="experiment ids (see --list)")
+    bound("--all", "run every experiment", action="store_true")
+    bound("--quick", "reduced sample counts", action="store_true")
+    parser.add_argument("--list", action="store_true", help="list experiment ids")
+    bound("--json", "write the run's wall-clock seconds (and its layer "
+                    "stats) to PATH", metavar="PATH")
+    parser.add_argument("--spec", metavar="PATH", help="run a declarative "
+                        "RunSpec JSON (repro.api) instead of a named experiment")
+    parser.add_argument("--design-spec", metavar="PATH", help="run a "
+                        "declarative DesignSweepSpec JSON through a "
+                        "DesignSession (joint accuracy x efficiency report)")
+    parser.add_argument("--search", metavar="PATH", help="run (or, with "
+                        "--store, resume) a SearchSpec JSON: budgeted "
+                        "successive-halving design-space search (repro.search)")
+    bound("--workers", "session workers", type=_positive_int)
+    bound("--backend", "execution backend (overrides the spec's executor "
+                       "field; results are bit-identical across backends)",
+          choices=("serial", "thread", "process"))
+    bound("--store", "persistent result store directory (warm replays are "
+                     "served from disk; interrupted sweeps and searches "
+                     "resume); with --fleet it backs the coordinator's "
+                     "warm-shard payload cache", metavar="DIR")
+    parser.add_argument("--serve", action="store_true",
+                        help="run the HTTP sweep service (repro.service) over "
+                             "one shared session pair until POST /v1/shutdown")
+    bound("--port", "listen port (0 = ephemeral; default 8731)", type=int)
+    bound("--host", "bind address (default 127.0.0.1; non-loopback binds "
+                    "require --token)")
+    bound("--service-workers", "job-queue worker pool size (default 1; "
+                               "distinct jobs run in parallel, identical "
+                               "fingerprints still coalesce)",
+          type=_positive_int)
+    bound("--queue-cap", "max queued jobs before submits get HTTP 429 + "
+                         "Retry-After (default: unbounded)", type=_positive_int)
+    bound("--max-finished-jobs", "finished-job retention before the oldest "
+                                 "results are dropped (default 1024)",
+          type=_positive_int)
+    bound("--token", "bearer token: required by --serve on non-loopback "
+                     "binds, sent by --submit/--fleet clients (default: the "
+                     "REPRO_SERVICE_TOKEN environment variable)")
+    parser.add_argument("--submit", metavar="PATH", help="submit a RunSpec/"
+                        "DesignSweepSpec/SearchSpec JSON to a running service "
+                        "(kind auto-detected) and print its result")
+    bound("--url", "service URL (default http://127.0.0.1:8731)", metavar="URL")
+    bound("--fleet", "comma-separated service URLs: shard the run across "
+                     "them and merge the results byte-identically to a "
+                     "local run", metavar="URLS")
+    bound("--shards", "shard count (default: one per endpoint; clamped to "
+                      "the sharded axis length)", type=_positive_int)
+    bound("--chaos", "arm a repro.chaos FaultPlan JSON for the run: "
+                     "deterministic fault injection at the layer boundaries "
+                     "(recovery keeps results byte-identical; a [chaos ...] "
+                     "footer reports the injected counts)", metavar="PATH")
+    bound("--trace", "arm the repro.obs tracer for the run and write a "
+                     "Chrome trace-event JSON (Perfetto / chrome://tracing) "
+                     "to PATH; spans cover every layer crossed, including "
+                     "remote service jobs; the result output stays "
+                     "byte-identical", metavar="PATH")
+    bound("--profile", "arm the repro.obs tracer and print a per-phase "
+                       "wall-time tree after the result", action="store_true")
+    parser.add_argument("--verify-store", metavar="DIR", help="verify every "
+                        "entry of a result-store directory against its "
+                        "checksum sidecar and print the JSON report (corrupt "
+                        "entries are quarantined, never served)")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
+    if args.list:
+        for name, (_, desc) in EXPERIMENTS.items():
+            print(f"{name:10s} {desc}")
+        return 0
+    given = [f"--{dest.replace('_', '-')}" for dest, value in vars(args).items()
+             if value is not None and value is not False and value != []]
+    picked = [name for name in MODES if f"--{name}" in given]
+    if len(picked) > 1:
+        print(f"{' and '.join(MODES[name].label for name in picked)} are "
+              "mutually exclusive", file=sys.stderr)
+        return 2
+    name = picked[0] if picked else "experiments"
+    mode = MODES.get(f"{name} --fleet" if args.fleet is not None else name,
+                     MODES[name])
+    for flag in given:
+        if flag[2:] not in MODES and flag not in mode.flags.split():
+            print(f"{flag} only applies to {_applies_to(flag)} runs",
+                  file=sys.stderr)
+            return 2
+    return _run(mode, name, args)
+
+
+def _run(mode: Mode, name: str, args) -> int:
+    """Run ``mode`` under the tracer (--trace/--profile) and the chaos
+    engine (--chaos) it asked for; print its result, then their footers."""
+    traced, engine = args.trace is not None or args.profile, None
+    with contextlib.ExitStack() as stack:
+        if traced:
+            from repro.obs import trace
+
+            tracer = stack.enter_context(trace.install())
+            stack.enter_context(trace.trace_span("runner", mode=name))
+        try:
+            if args.chaos is not None:
+                from repro import chaos
+
+                try:
+                    plan = chaos.FaultPlan.load(args.chaos)
+                except (OSError, ValueError, KeyError, TypeError) as exc:
+                    raise _Fail(f"cannot load chaos plan {args.chaos!r}: {exc}")
+                engine = stack.enter_context(chaos.install(plan))
+            start = time.time()
+            rc = mode.run(args)
+        except _Fail as exc:
+            print(exc, file=sys.stderr)
+            rc = 2
+        if isinstance(rc, Result):
+            print(rc.output)
+            elapsed = round(time.time() - start, 3)
+            print(f"[{rc.tag} {rc.footer} done in {elapsed:.1f}s]")
+            if args.json:
+                _write_json(args.json, {**rc.doc, "seconds": {rc.tag: elapsed}})
+            rc = 0
+    if engine is not None:
+        stats = engine.stats()
+        print(f"[chaos {args.chaos} seed={stats['seed']} "
+              f"faults={len(stats['faults'])} "
+              f"injected={sum(stats['injected'].values())}]")
+    if not traced:
+        return rc
+    from repro.obs.export import render_profile, to_chrome_trace
+
+    spans = tracer.export()
+    if args.trace is not None:
+        try:
+            _write_json(args.trace, to_chrome_trace(spans), indent=None)
+        except OSError as exc:
+            print(f"cannot write trace {args.trace!r}: {exc}", file=sys.stderr)
+            return 2
+        print(f"[trace {args.trace} spans={len(spans)} "
+              f"dropped={tracer.dropped}]")
+    if args.profile:
+        print(render_profile(spans))
+    return rc
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -431,8 +431,3 @@ class TestRunnerBackend:
         spec.to_json(path)
         assert main(["--spec", str(path)]) == 0
         capsys.readouterr()
-
-    def test_backend_requires_spec(self, capsys):
-        from repro.experiments.runner import main
-
-        assert main(["fig3", "--backend", "process"]) == 2

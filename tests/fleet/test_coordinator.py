@@ -263,17 +263,6 @@ class TestFanOut:
 
 
 class TestFleetCLI:
-    def test_fleet_flag_validation(self, capsys):
-        from repro.experiments.runner import main
-
-        assert main(["--fleet", "http://x"]) == 2  # needs --spec/--design-spec
-        assert main(["--submit", "x.json", "--fleet", "http://x"]) == 2
-        assert main(["--spec", "x.json", "--shards", "2"]) == 2  # needs --fleet
-        assert main(["--spec", "x.json", "--fleet", "http://x",
-                     "--backend", "thread"]) == 2
-        assert main(["--spec", "x.json", "--token", "t"]) == 2
-        capsys.readouterr()
-
     def test_fleet_run_matches_spec_replay(self, fleet_servers, tmp_path,
                                            capsys):
         """The CI contract: --fleet output is byte-identical to --spec."""

@@ -424,37 +424,6 @@ class TestHealthz:
 
 
 class TestRunnerCLI:
-    REPO = Path(__file__).resolve().parents[2]
-
-    def test_workers_requires_a_session_mode(self, capsys):
-        from repro.experiments.runner import main
-
-        assert main(["--workers", "2"]) == 2
-        assert main(["fig3", "--workers", "2"]) == 2
-        err = capsys.readouterr().err
-        assert "--workers only applies to" in err
-
-    def test_store_and_port_and_url_flag_validation(self, capsys):
-        from repro.experiments.runner import main
-
-        assert main(["fig3", "--store", "x"]) == 2
-        assert main(["--submit", "x.json", "--port", "1"]) == 2
-        assert main(["--spec", "x.json", "--url", "http://x"]) == 2
-        assert main(["--spec", "a.json", "--serve"]) == 2
-        assert main(["--serve", "--all"]) == 2
-        assert main(["--serve", "--json", "out.json"]) == 2
-        capsys.readouterr()
-
-    def test_serve_only_flags_require_serve(self, capsys):
-        from repro.experiments.runner import main
-
-        assert main(["--spec", "x.json", "--service-workers", "2"]) == 2
-        assert main(["--queue-cap", "5"]) == 2
-        assert main(["--submit", "x.json", "--max-finished-jobs", "9"]) == 2
-        assert main(["--spec", "x.json", "--host", "0.0.0.0"]) == 2
-        err = capsys.readouterr().err
-        assert "only applies to --serve" in err
-
     def test_serve_non_loopback_without_token_exits_2(self, capsys,
                                                       monkeypatch):
         from repro.experiments.runner import main
