@@ -31,7 +31,7 @@ import re
 import threading
 from concurrent.futures import Future
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -59,7 +59,7 @@ from repro.tile.simulator import (
     worst_shift_samples,
 )
 
-from repro.api.executor import make_executor
+from repro.api.executor import EXECUTOR_COUNTERS, ExecutorStats, make_executor
 from repro.api.session import (
     EmulationSession,
     sweep_points_from_dicts,
@@ -83,32 +83,17 @@ DEFAULT_ACCURACY_SPEC = RunSpec(name="design-accuracy",
 
 
 @dataclass
-class DesignSessionStats:
-    """Per-cache hit/miss counters plus executor telemetry.
-
-    ``backend``/``workers`` describe the sweep fan-out backend;
-    ``tasks_dispatched`` counts design points actually handed to a pool and
-    ``shm_bytes`` the executor's shared-memory traffic (design sweeps ship
-    points, not plans, so this stays 0 unless the embedded emulation's
-    executor is shared).
-    """
+class DesignSessionStats(ExecutorStats):
+    """Per-cache hit/miss counters plus the executor's (which it writes
+    here directly; design sweeps ship points, not plans, so the
+    ``shm_bytes`` fields stay 0)."""
 
     hits: dict = field(default_factory=dict)
     misses: dict = field(default_factory=dict)
-    backend: str = "serial"
-    workers: int = 1
-    tasks_dispatched: int = 0
-    shm_bytes: int = 0
 
     def note(self, kind: str, hit: bool) -> None:
         bucket = self.hits if hit else self.misses
         bucket[kind] = bucket.get(kind, 0) + 1
-
-    def as_dict(self) -> dict:
-        return {"hits": dict(self.hits), "misses": dict(self.misses),
-                "backend": self.backend, "workers": self.workers,
-                "tasks_dispatched": self.tasks_dispatched,
-                "shm_bytes": self.shm_bytes}
 
 
 @dataclass(frozen=True)
@@ -173,8 +158,6 @@ class DesignReport:
         return math.nan if value is None else float(value)
 
     def to_dict(self) -> dict:
-        from dataclasses import asdict
-
         return {
             "point": self.point.to_dict(),
             "design": self.design,
@@ -341,11 +324,10 @@ class DesignSession:
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.store = ResultStore.coerce(store)
-        self.executor = make_executor(backend, workers)
+        self.stats = DesignSessionStats()
+        self.executor = make_executor(backend, workers, self.stats)
         self.workers = self.executor.workers
         self.accuracy_spec = accuracy if accuracy is not None else DEFAULT_ACCURACY_SPEC
-        self.stats = DesignSessionStats(backend=self.executor.name,
-                                        workers=self.executor.workers)
         self._emulation = emulation
         self._owns_emulation = emulation is None
         self._memo: dict[tuple, Future] = {}
@@ -356,7 +338,7 @@ class DesignSession:
             self, lambda session: session.stats.as_dict(),
             prefix="repro_design",
             labels={"instance": REGISTRY.next_instance("design")},
-            counters={"hits", "misses", "tasks_dispatched", "shm_bytes"})
+            counters=EXECUTOR_COUNTERS | {"hits", "misses"})
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -374,7 +356,6 @@ class DesignSession:
     def close(self) -> None:
         """Shut the backend down, drop all caches, close an owned emulation."""
         self.executor.close()
-        self.stats.tasks_dispatched = self.executor.tasks_dispatched
         if self._owns_emulation and self._emulation is not None:
             self._emulation.close()
             self._emulation = None
@@ -711,7 +692,7 @@ class DesignSession:
                 template = self.accuracy_spec if accuracy is None else accuracy
                 accuracy_dict = template.to_dict()
                 payloads = [(p.to_dict(), accuracy_dict) for p in todo]
-                fresh = self.executor.map_tasks(_evaluate_design_task, payloads)
+                fresh = self.executor.map(_evaluate_design_task, payloads)
                 for i, report in zip(missing, fresh):
                     # worker sessions have no store; persist from the parent
                     self._save_report(points[i], report, accuracy)
@@ -722,5 +703,4 @@ class DesignSession:
                     lambda p: self._evaluate_fresh(p, accuracy), todo)
             for i, report in zip(missing, fresh):
                 reports[i] = report
-        self.stats.tasks_dispatched = self.executor.tasks_dispatched
         return reports

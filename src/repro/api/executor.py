@@ -1,35 +1,34 @@
 """Pluggable execution backends: one interface, serial / thread / process.
 
-Both sessions used to own a private ``ThreadPoolExecutor``. This module
-factors the fan-out into interchangeable backends behind one interface so
-truly million-sample sweeps can use real processes:
+Every backend runs :func:`repro.ipu.engine.fp_ip_points` over a batch split
+into spans (:meth:`run_points`), maps a function over items (:meth:`map`),
+and counts its fan-out straight into the :class:`ExecutorStats` it was built
+with — its session's stats object, so session stats are live and need no
+sync step:
 
 ``SerialExecutor``
     runs everything inline; the reference semantics.
 
 ``ThreadExecutor``
-    the former session plumbing: broadcast-slab the operand plans and run
-    :func:`repro.ipu.engine.fp_ip_points` per span on a thread pool. NumPy
-    releases the GIL inside the kernel's hot loops, so this scales on
-    multi-core hosts without any serialization cost.
+    broadcast-slabs the operand plans and runs :func:`fp_ip_points` per span
+    on a thread pool. NumPy releases the GIL inside the kernel's hot loops,
+    so this scales on multi-core hosts without any serialization cost.
 
 ``ProcessExecutor``
-    a fork-server-free ``ProcessPoolExecutor`` (fork context where
-    available). Operand plans are *not* pickled per task: each plan's
-    decoded planes are exported once per call into
-    ``multiprocessing.shared_memory`` via the
-    :meth:`~repro.ipu.engine.PackedOperands.to_buffers` codec, and workers
-    reconstruct zero-copy views (:meth:`from_buffers`) before running their
-    span. Kernel *results* are zero-copy too, symmetric with the operand
-    path: the parent preallocates one shared block (a file in ``/dev/shm``)
-    laid out per :func:`_result_layout`, workers write their span's exact
-    register values straight into it through ``fp_ip_points(out=...)`` and
-    return ``None``, and the parent wraps views — no kernel output is ever
-    pickled (``results_pickled`` stays 0). ``shm_bytes`` splits into
-    ``shm_bytes_tx`` (operand segments out) and ``shm_bytes_rx`` (result
-    blocks back). Segments and result files are unlinked as soon as the
-    call completes; the ``live_segments``/``live_result_files`` properties
-    and the cleanup tests pin that neither outlives :meth:`close`.
+    a ``ProcessPoolExecutor`` (fork context where available) with one
+    transport: plain files in ``/dev/shm`` (tmpfs) mapped with
+    ``np.memmap``. Each call exports every operand plan once through the
+    :meth:`~repro.ipu.engine.PackedOperands.to_buffers` codec and
+    preallocates one result block laid out per :func:`_result_layout`.
+    Workers map both zero-copy (:meth:`from_buffers`), write their span's
+    exact register values straight into the block through
+    ``fp_ip_points(out=...)`` and return ``None`` — neither plans nor kernel
+    outputs are pickled (``results_pickled`` stays 0). ``shm_bytes`` splits
+    into ``shm_bytes_tx`` (plans out) and ``shm_bytes_rx`` (result blocks
+    back). A file needs no resource-tracker bookkeeping in either process,
+    and the parent unlinks it as soon as the call completes while its mapped
+    views stay valid; ``live_files`` and the cleanup tests pin that no file
+    outlives :meth:`close`.
 
 Task splitting is **chunk-granular**: spans along the leading batch axis are
 aligned to the engine's cache-sized row blocks
@@ -50,8 +49,7 @@ import tempfile
 import threading
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
-from multiprocessing import shared_memory
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -73,10 +71,44 @@ from repro.ipu.engine import (
     fp_ip_points,
 )
 
-__all__ = ["ExecutorSpec", "BACKENDS", "make_executor",
+__all__ = ["ExecutorSpec", "ExecutorStats", "BACKENDS", "make_executor",
            "SerialExecutor", "ThreadExecutor", "ProcessExecutor"]
 
 BACKENDS = ("serial", "thread", "process")
+
+
+@dataclass
+class ExecutorStats:
+    """The fan-out counters every backend writes, declared once.
+
+    ``backend``/``workers`` describe the backend; ``tasks_dispatched``
+    counts tasks actually handed to a pool; ``shm_bytes`` is the cumulative
+    ``/dev/shm`` transport traffic (process backend only), split into
+    ``shm_bytes_tx`` (operand plans out) and ``shm_bytes_rx`` (result blocks
+    back). ``results_pickled`` counts kernel outputs that crossed the
+    process boundary as pickles — the zero-copy result path keeps it at 0.
+    ``worker_restarts``/``chunks_redispatched`` count worker-death
+    recoveries. Session stats classes extend this one, so benchmark JSON
+    and metrics read the counters off the session directly.
+    """
+
+    backend: str = "serial"
+    workers: int = 1
+    tasks_dispatched: int = 0
+    shm_bytes: int = 0
+    shm_bytes_tx: int = 0
+    shm_bytes_rx: int = 0
+    results_pickled: int = 0
+    worker_restarts: int = 0
+    chunks_redispatched: int = 0
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+
+# the monotonic ExecutorStats fields (metrics counters; the rest describe)
+EXECUTOR_COUNTERS = frozenset(
+    f.name for f in fields(ExecutorStats)) - {"backend", "workers"}
 
 
 @dataclass(frozen=True)
@@ -197,30 +229,27 @@ def _attached(state: dict, fn):
 
 
 class SerialExecutor:
-    """Inline execution; the reference every other backend must match."""
+    """Inline execution; the reference every other backend must match.
+
+    The pooled backends extend it: they share its constructor (a worker
+    count plus the stats object the counters go to) and override what they
+    parallelize.
+    """
 
     name = "serial"
 
-    def __init__(self, workers: int = 1):
-        self.workers = 1
-        self.tasks_dispatched = 0
-        self.shm_bytes = 0
-        self.shm_bytes_tx = 0
-        self.shm_bytes_rx = 0
-        self.results_pickled = 0
-        # every backend exposes the full counter set (sessions sync these
-        # attributes directly, no getattr fallbacks); serial never restarts
-        self.worker_restarts = 0
-        self.chunks_redispatched = 0
+    def __init__(self, workers: int, stats: ExecutorStats):
+        self.workers = workers
+        self.stats = stats
+        stats.backend, stats.workers = self.name, workers
+        # re-entrant: a scoped process export creates its file under the lock
+        self._lock = threading.RLock()
 
     def run_points(self, pa, pb, points, shape, chunk_rows=None):
         return fp_ip_points(pa, pb, points, chunk_rows=chunk_rows)
 
     def map(self, fn, items) -> list:
         return [fn(item) for item in items]
-
-    def map_tasks(self, fn, payloads) -> list:
-        return [fn(p) for p in payloads]
 
     @contextmanager
     def plan_scope(self):
@@ -231,22 +260,14 @@ class SerialExecutor:
         pass
 
 
-class ThreadExecutor:
+class ThreadExecutor(SerialExecutor):
     """Thread-pool fan-out (NumPy kernels release the GIL)."""
 
     name = "thread"
 
-    def __init__(self, workers: int):
-        self.workers = max(1, int(workers))
-        self.tasks_dispatched = 0
-        self.shm_bytes = 0
-        self.shm_bytes_tx = 0
-        self.shm_bytes_rx = 0
-        self.results_pickled = 0
-        self.worker_restarts = 0
-        self.chunks_redispatched = 0
+    def __init__(self, workers: int, stats: ExecutorStats):
+        super().__init__(workers, stats)
         self._pool: ThreadPoolExecutor | None = None
-        self._lock = threading.Lock()
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         with self._lock:
@@ -278,7 +299,7 @@ class ThreadExecutor:
                                         chunk_rows=chunk_rows)
             futures = [pool.submit(traced, lo, hi) for lo, hi in spans]
         with self._lock:
-            self.tasks_dispatched += len(futures)
+            self.stats.tasks_dispatched += len(futures)
         return _concat_results([f.result() for f in futures])
 
     def map(self, fn, items) -> list:
@@ -291,15 +312,8 @@ class ThreadExecutor:
             fn = _attached(state, fn)
         futures = [pool.submit(fn, item) for item in items]
         with self._lock:
-            self.tasks_dispatched += len(futures)
+            self.stats.tasks_dispatched += len(futures)
         return [f.result() for f in futures]
-
-    map_tasks = map
-
-    @contextmanager
-    def plan_scope(self):
-        """No-op here; see :meth:`ProcessExecutor.plan_scope`."""
-        yield
 
     def close(self) -> None:
         with self._lock:
@@ -310,32 +324,25 @@ class ThreadExecutor:
 
 # -- process backend ----------------------------------------------------------
 
-# Result blocks live as plain files in /dev/shm (tmpfs) rather than
-# multiprocessing.shared_memory segments: a file + mmap needs no resource
+# Transport files live in /dev/shm (tmpfs): a file + mmap needs no resource
 # tracker bookkeeping in either process, and the parent can unlink it the
-# moment the futures resolve while its mapped views stay valid.
-_RESULT_DIR = "/dev/shm" if os.path.isdir("/dev/shm") else None
+# moment a call completes while its mapped views stay valid.
+_SHM_DIR = "/dev/shm" if os.path.isdir("/dev/shm") else None
 
 
-def _result_layout(points, rows: int) -> tuple[list, int]:
-    """Field layout of one result block: per point, five row-length arrays
-    (values, rounded, max_exp, alignment_cycles, total_cycles), each
-    16-byte aligned — the result-side mirror of :func:`_export_plan`."""
-    layout, total = [], 0
-    for p in points:
-        fields = []
-        for dstr in ("<f8", np.dtype(np_float_dtype(p.acc_fmt)).str,
-                     "<i8", "<i8", "<i8"):
-            total = -(-total // 16) * 16
-            fields.append((total, dstr))
-            total += rows * np.dtype(dstr).itemsize
-        layout.append(fields)
-    return layout, max(total, 1)
+def _aligned(sizes) -> tuple[list[int], int]:
+    """16-byte-aligned offsets of consecutive fields, plus the file size."""
+    offsets, total = [], 0
+    for size in sizes:
+        total = -(-total // 16) * 16
+        offsets.append(total)
+        total += size
+    return offsets, max(total, 1)
 
 
-def _create_result_file(nbytes: int) -> str:
-    """Preallocate a result block; returns its path (parent unlinks it)."""
-    fd, path = tempfile.mkstemp(prefix="repro-result-", dir=_RESULT_DIR)
+def _create_file(nbytes: int) -> str:
+    """Preallocate one transport file; returns its path (parent unlinks it)."""
+    fd, path = tempfile.mkstemp(prefix="repro-", dir=_SHM_DIR)
     try:
         os.ftruncate(fd, nbytes)
     finally:
@@ -343,90 +350,37 @@ def _create_result_file(nbytes: int) -> str:
     return path
 
 
+def _result_layout(points, rows: int) -> tuple[list, int]:
+    """Field layout of one result block: per point, five row-length arrays
+    (values, rounded, max_exp, alignment_cycles, total_cycles)."""
+    dtypes = [d for p in points
+              for d in ("<f8", np.dtype(np_float_dtype(p.acc_fmt)).str,
+                        "<i8", "<i8", "<i8")]
+    offsets, total = _aligned([rows * np.dtype(d).itemsize for d in dtypes])
+    flat = list(zip(offsets, dtypes))
+    return [flat[i:i + 5] for i in range(0, len(flat), 5)], total
+
+
 def _result_views(mm, layout, rows: int) -> list[tuple[np.ndarray, ...]]:
     """Per-point 5-tuples of flat row-length views into a mapped block."""
     return [
         tuple(np.frombuffer(mm, np.dtype(dstr), count=rows, offset=off)
-              for off, dstr in fields)
-        for fields in layout
+              for off, dstr in point_fields)
+        for point_fields in layout
     ]
 
 
-def _close_memmap(mm) -> None:
-    """Drop a worker's result mapping; tolerate lingering view exports."""
-    try:
-        mm._mmap.close()  # noqa: SLF001
-    except (BufferError, AttributeError):
-        pass
+def _attach_plan(desc: dict) -> PackedOperands:
+    """Worker-side inverse of :meth:`ProcessExecutor._export` (zero-copy
+    views; the mapping lives as long as the plan's arrays)."""
+    mm = np.memmap(desc["path"], np.uint8, "r", shape=(desc["total"],))
+    return PackedOperands.from_buffers(desc["meta"], [
+        mm[off:off + size] for off, size in zip(desc["offsets"], desc["sizes"])])
 
 
-def _export_plan(plan: PackedOperands) -> tuple[shared_memory.SharedMemory, dict]:
-    """Copy a plan's planes into one shared-memory segment.
-
-    Returns the owning segment plus a picklable descriptor (name, field
-    layout, offsets) that :func:`_attach_plan` turns back into a zero-copy
-    plan in any process on the machine.
-    """
-    meta, buffers = plan.to_buffers()
-    offsets, total = [], 0
-    for arr in buffers:
-        total = -(-total // 16) * 16  # 16-byte align each plane
-        offsets.append(total)
-        total += arr.nbytes
-    shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
-    try:
-        for arr, off in zip(buffers, offsets):
-            if arr.nbytes:
-                dst = np.frombuffer(shm.buf, np.uint8, count=arr.nbytes, offset=off)
-                dst[:] = arr.reshape(-1).view(np.uint8)
-                del dst
-    except BaseException:
-        shm.close()
-        shm.unlink()
-        raise
-    sizes = [arr.nbytes for arr in buffers]
-    return shm, {"name": shm.name, "meta": meta, "offsets": offsets, "sizes": sizes}
-
-
-def _attach_plan(desc: dict, own_tracker: bool) -> tuple[shared_memory.SharedMemory, PackedOperands]:
-    """Worker-side inverse of :func:`_export_plan` (zero-copy views).
-
-    Attaching registers the segment with the resource tracker (a CPython
-    3.11 wart). Fork workers share the parent's tracker, where the repeat
-    registration is a set-level no-op and the parent unregisters once at
-    unlink — nothing to undo. A worker with its *own* tracker (spawn) must
-    unregister, or its tracker would try to unlink the parent's segment at
-    shutdown.
-    """
-    shm = shared_memory.SharedMemory(name=desc["name"])
-    if own_tracker:
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(shm._name, "shared_memory")  # noqa: SLF001
-        except Exception:
-            pass
-    bufs = [shm.buf[off:off + size] if size else b""
-            for off, size in zip(desc["offsets"], desc["sizes"])]
-    return shm, PackedOperands.from_buffers(desc["meta"], bufs)
-
-
-def _release_plan(shm: shared_memory.SharedMemory) -> None:
-    """Close a worker's attachment; tolerate lingering buffer exports.
-
-    All views into the segment must be dropped before close; if a stray
-    reference survives (BufferError), the map is left for process exit to
-    reclaim rather than crashing the task.
-    """
-    try:
-        shm.close()
-    except BufferError:
-        pass
-
-
-def _kernel_task(desc_a, desc_b, shape, lo, hi, points, chunk_rows, own_tracker,
-                 result, crash=False, trace=None):
-    """One span of fp_ip_points against shared-memory operand plans.
+def _kernel_task(desc_a, desc_b, shape, lo, hi, points, chunk_rows, result,
+                 crash=False, trace=None):
+    """One span of fp_ip_points against transport-file operand plans.
 
     ``result`` describes the parent's preallocated result block; the span's
     outputs are written straight into its ``[lo, hi)`` rows and nothing is
@@ -440,66 +394,41 @@ def _kernel_task(desc_a, desc_b, shape, lo, hi, points, chunk_rows, own_tracker,
     rows, so a re-run is idempotent.
 
     ``trace`` is the parent's wire context (``None`` when tracing is
-    disarmed — the fast path is byte-for-byte the old behavior, returning
-    ``None``).  When set, the worker arms a task-local tracer adopted under
-    the parent span and ships its finished span dicts back as
-    ``{"trace_spans": [...]}`` — telemetry, not kernel output, so the
-    zero-copy result invariant (``results_pickled == 0``) still holds.  A
-    crashed worker never returns, so a re-dispatched span's trace is
-    recorded exactly once.
+    disarmed — the fast path returns ``None``). When set, the worker arms a
+    task-local tracer adopted under the parent span and ships its finished
+    span dicts back as ``{"trace_spans": [...]}`` — telemetry, not kernel
+    output, so the zero-copy result invariant (``results_pickled == 0``)
+    still holds. A crashed worker never returns, so a re-dispatched span's
+    trace is recorded exactly once.
     """
     if crash:
         os._exit(17)  # noqa: SLF001 - simulate a hard worker death
-    if trace is not None:
-        with worker_trace(trace) as collected:
-            with trace_span("executor.chunk", backend="process",
-                            lo=lo, hi=hi):
-                _kernel_task_body(desc_a, desc_b, shape, lo, hi, points,
-                                  chunk_rows, own_tracker, result)
-        return {"trace_spans": collected}
-    _kernel_task_body(desc_a, desc_b, shape, lo, hi, points, chunk_rows,
-                      own_tracker, result)
-    return None
-
-
-def _kernel_task_body(desc_a, desc_b, shape, lo, hi, points, chunk_rows,
-                      own_tracker, result):
-    shape = tuple(shape)
-    shm_a, pa = _attach_plan(desc_a, own_tracker)
-    shm_b, pb = _attach_plan(desc_b, own_tracker)
-    mm = None
-    try:
-        slab_a = _slab(pa, shape, lo, hi)
-        slab_b = _slab(pb, shape, lo, hi)
-        inner = int(np.prod(shape[1:-1], dtype=np.int64))
-        mm = np.memmap(result["path"], dtype=np.uint8, mode="r+",
-                       shape=(result["total"],))
-        slots = [
-            tuple(a[lo * inner:hi * inner] for a in slot)
-            for slot in _result_views(mm, result["layout"], result["rows"])
-        ]
-        fp_ip_points(slab_a, slab_b, points, chunk_rows=chunk_rows, out=slots)
+    if trace is None:
+        _run_span(desc_a, desc_b, shape, lo, hi, points, chunk_rows, result)
         return None
-    finally:
-        del pa, pb
-        try:
-            del slab_a, slab_b
-        except NameError:
-            pass
-        try:
-            del slots
-        except NameError:
-            pass
-        _release_plan(shm_a)
-        _release_plan(shm_b)
-        if mm is not None:
-            _close_memmap(mm)
+    with worker_trace(trace) as collected:
+        with trace_span("executor.chunk", backend="process", lo=lo, hi=hi):
+            _run_span(desc_a, desc_b, shape, lo, hi, points, chunk_rows, result)
+    return {"trace_spans": collected}
 
 
-class ProcessExecutor:
-    """Process-pool fan-out with shared-memory operand planes.
+def _run_span(desc_a, desc_b, shape, lo, hi, points, chunk_rows, result):
+    # every mapping is released with the locals when this returns
+    inner = int(np.prod(shape[1:-1], dtype=np.int64))
+    mm = np.memmap(result["path"], np.uint8, "r+", shape=(result["total"],))
+    slots = [
+        tuple(a[lo * inner:hi * inner] for a in slot)
+        for slot in _result_views(mm, result["layout"], result["rows"])
+    ]
+    fp_ip_points(_slab(_attach_plan(desc_a), shape, lo, hi),
+                 _slab(_attach_plan(desc_b), shape, lo, hi), points,
+                 chunk_rows=chunk_rows, out=slots)
 
-    Tasks carry only a segment descriptor and a span, so the decoded plans
+
+class ProcessExecutor(SerialExecutor):
+    """Process-pool fan-out over ``/dev/shm`` transport files.
+
+    Tasks carry only file descriptors and a span, so the decoded plans
     cross the process boundary exactly once per call regardless of task
     count. The fork context is used where available (Linux), which also
     carries registered custom formats/designs into the workers.
@@ -507,46 +436,27 @@ class ProcessExecutor:
 
     name = "process"
 
-    # Worker deaths tolerated per run_points/map_tasks call before giving
-    # up — a systematically crashing task (OOM kill loop) must not spin.
+    # Worker deaths tolerated per run_points/map call before giving up — a
+    # systematically crashing task (OOM kill loop) must not spin.
     MAX_POOL_REBUILDS = 2
 
-    def __init__(self, workers: int):
-        self.workers = max(1, int(workers))
-        self.tasks_dispatched = 0
-        self.shm_bytes = 0
-        self.shm_bytes_tx = 0
-        self.shm_bytes_rx = 0
-        # kernel-output tuples returned through pickling; the zero-copy
-        # result path keeps this at 0 (pinned by the session stats test)
-        self.results_pickled = 0
-        # worker-death recovery counters (see _drain)
-        self.worker_restarts = 0
-        self.chunks_redispatched = 0
-        self.last_segments: list[str] = []
-        self.last_result_files: list[str] = []
+    def __init__(self, workers: int, stats: ExecutorStats):
+        super().__init__(workers, stats)
+        self.last_files: list[str] = []
         self._start_method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
                               else multiprocessing.get_start_method(allow_none=False))
         self._pool: ProcessPoolExecutor | None = None
-        self._live: dict[str, shared_memory.SharedMemory] = {}
-        self._live_results: list[str] = []
+        self._live: list[str] = []
         self._scope_depth = 0
         # id(plan) -> (plan, descriptor); the plan reference pins the id so
         # it cannot be recycled onto a different object mid-scope
         self._scope_exports: dict[int, tuple[PackedOperands, dict]] = {}
-        self._lock = threading.Lock()
 
     @property
-    def live_segments(self) -> list[str]:
-        """Names of shared-memory segments currently owned (not yet unlinked)."""
+    def live_files(self) -> list[str]:
+        """Transport files currently on disk (not yet unlinked)."""
         with self._lock:
             return sorted(self._live)
-
-    @property
-    def live_result_files(self) -> list[str]:
-        """Result-block paths currently on disk (not yet unlinked)."""
-        with self._lock:
-            return sorted(self._live_results)
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._lock:
@@ -595,17 +505,17 @@ class ProcessExecutor:
                     f"{len(broken)} task(s); giving up (systematic crash?)")
             pool = self._rebuild_pool(pool)
             with self._lock:
-                self.worker_restarts += 1
-                self.chunks_redispatched += len(broken)
-                self.tasks_dispatched += len(broken)
+                self.stats.worker_restarts += 1
+                self.stats.chunks_redispatched += len(broken)
+                self.stats.tasks_dispatched += len(broken)
             jobs = [(index, item, resubmit(pool, item)) for index, item in broken]
         return out
 
     @contextmanager
     def plan_scope(self):
         """Pin plan exports across calls: within the scope, re-submitting the
-        same :class:`PackedOperands` object reuses its shared-memory segment
-        instead of re-exporting it, and segments are unlinked when the
+        same :class:`PackedOperands` object reuses its transport file
+        instead of re-exporting it, and the files are unlinked when the
         outermost scope exits. This is how per-channel loops (the emulated
         convolution) ship one activation plan across many kernel calls."""
         with self._lock:
@@ -616,67 +526,76 @@ class ProcessExecutor:
             with self._lock:
                 self._scope_depth -= 1
                 if self._scope_depth == 0:
-                    names = [d["name"] for _, d in self._scope_exports.values()]
+                    paths = [d["path"] for _, d in self._scope_exports.values()]
                     self._scope_exports = {}
                 else:
-                    names = []
-            self._unlink(names)
+                    paths = []
+            self._unlink(paths)
 
-    def _register(self, shm: shared_memory.SharedMemory) -> None:
-        self._live[shm.name] = shm
-        self.shm_bytes += shm.size
-        self.shm_bytes_tx += shm.size
-        self.last_segments.append(shm.name)
+    def _create(self, nbytes: int, rx: bool) -> str:
+        """A new transport file, owned (live) until :meth:`_unlink`."""
+        path = _create_file(nbytes)
+        with self._lock:
+            self._live.append(path)
+            self.last_files.append(path)
+            self.stats.shm_bytes += nbytes
+            if rx:
+                self.stats.shm_bytes_rx += nbytes
+            else:
+                self.stats.shm_bytes_tx += nbytes
+        return path
 
     def _export(self, plan: PackedOperands) -> tuple[dict, bool]:
-        """``(descriptor, deferred)``: deferred exports outlive the call
-        (a surrounding plan_scope owns their unlink).
+        """``(descriptor, deferred)`` of a plan copied into a transport file;
+        deferred exports outlive the call (a surrounding plan_scope owns
+        their unlink). :func:`_attach_plan` turns the picklable descriptor
+        back into a zero-copy plan in a worker.
 
-        The scoped branch checks, exports, and registers under one lock
-        hold, so concurrent callers sharing a plan inside a scope never
-        race into a double export (the copy is serialized — scopes exist
-        for single-threaded per-channel loops, where this never contends).
+        The scoped branch checks and exports under one lock hold, so
+        concurrent callers sharing a plan inside a scope never race into a
+        double export (the copy is serialized — scopes exist for
+        single-threaded per-channel loops, where this never contends).
         """
         with self._lock:
             if self._scope_depth > 0:
                 cached = self._scope_exports.get(id(plan))
-                if cached is not None and cached[0] is plan:
-                    return cached[1], True
-                shm, desc = _export_plan(plan)
-                self._register(shm)
-                self._scope_exports[id(plan)] = (plan, desc)
-                return desc, True
-        shm, desc = _export_plan(plan)
-        with self._lock:
-            self._register(shm)
-        return desc, False
+                if cached is None or cached[0] is not plan:
+                    cached = self._scope_exports[id(plan)] = (plan, self._write_plan(plan))
+                return cached[1], True
+        return self._write_plan(plan), False
 
-    def _unlink(self, names) -> None:
-        for name in names:
-            with self._lock:
-                shm = self._live.pop(name, None)
-            if shm is not None:
-                _release_plan(shm)
-                try:
-                    shm.unlink()
-                except FileNotFoundError:
-                    pass
+    def _write_plan(self, plan: PackedOperands) -> dict:
+        meta, buffers = plan.to_buffers()
+        sizes = [arr.nbytes for arr in buffers]
+        offsets, total = _aligned(sizes)
+        path = self._create(total, rx=False)
+        try:
+            mm = np.memmap(path, np.uint8, "r+", shape=(total,))
+            for arr, off in zip(buffers, offsets):
+                mm[off:off + arr.nbytes] = arr.reshape(-1).view(np.uint8)
+        except BaseException:
+            self._unlink([path])
+            raise
+        return {"path": path, "total": total, "meta": meta,
+                "offsets": offsets, "sizes": sizes}
 
-    def _unlink_result(self, path: str) -> None:
-        """Unlink a result block; the parent's mapped views stay valid.
+    def _unlink(self, paths) -> None:
+        """Unlink owned transport files; mapped views stay valid.
 
         ``OSError`` (not just ``FileNotFoundError``): on Windows the
-        fallback temp-dir block can't be unlinked while still mapped by
-        the parent or a worker — leaving it for temp cleanup beats
-        raising out of ``run_points``' finally block.
+        fallback temp-dir file can't be unlinked while still mapped by the
+        parent or a worker — leaving it for temp cleanup beats raising out
+        of ``run_points``' finally block.
         """
         with self._lock:
-            if path in self._live_results:
-                self._live_results.remove(path)
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
+            paths = [p for p in paths if p in self._live]
+            for path in paths:
+                self._live.remove(path)
+        for path in paths:
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
 
     def run_points(self, pa, pb, points, shape, chunk_rows=None):
         dim0 = shape[0]
@@ -687,38 +606,27 @@ class ProcessExecutor:
         pool = self._ensure_pool()
         with self._lock:
             if self._scope_depth == 0:
-                self.last_segments = []
-            self.last_result_files = []
-        own_tracker = self._start_method != "fork"
+                self.last_files = []
         rows = dim0 * inner
-        lead = tuple(shape[:-1])
         layout, total = _result_layout(points, rows)
-        exported: list[tuple[dict, bool]] = []
-        path = None
+        owned: list[str] = []  # this call's files (scoped exports excluded)
         try:  # exports inside the try so a failed second export still cleans up
-            desc_a, defer_a = self._export(pa)
-            exported.append((desc_a, defer_a))
-            if pb is pa:  # self inner products share one segment
-                desc_b, defer_b = desc_a, defer_a
-            else:
-                desc_b, defer_b = self._export(pb)
-                exported.append((desc_b, defer_b))
-            path = _create_result_file(total)
-            with self._lock:
-                self._live_results.append(path)
-                self.last_result_files.append(path)
-                self.shm_bytes += total
-                self.shm_bytes_rx += total
-            mm = np.memmap(path, dtype=np.uint8, mode="r+", shape=(total,))
-            result_desc = {"path": path, "total": total,
-                           "layout": layout, "rows": rows}
+            desc_a, deferred = self._export(pa)
+            owned += [] if deferred else [desc_a["path"]]
+            desc_b = desc_a  # self inner products share one file
+            if pb is not pa:
+                desc_b, deferred = self._export(pb)
+                owned += [] if deferred else [desc_b["path"]]
+            path = self._create(total, rx=True)
+            owned.append(path)
+            mm = np.memmap(path, np.uint8, "r+", shape=(total,))
+            result = {"path": path, "total": total, "layout": layout, "rows": rows}
             wire = trace_wire()  # None when tracing is disarmed
 
             def submit(to_pool, span, crash=False):
                 return to_pool.submit(_kernel_task, desc_a, desc_b,
                                       tuple(shape), span[0], span[1], points,
-                                      chunk_rows, own_tracker, result_desc,
-                                      crash, wire)
+                                      chunk_rows, result, crash, wire)
 
             jobs = []
             for index, span in enumerate(spans):
@@ -728,59 +636,41 @@ class ProcessExecutor:
                 crash = bool(directive and directive.get("action") == "crash")
                 jobs.append((index, span, submit(pool, span, crash)))
             with self._lock:
-                self.tasks_dispatched += len(jobs)
-            returned = self._drain(pool, jobs, submit)
-            for value in returned.values():
+                self.stats.tasks_dispatched += len(jobs)
+            for value in self._drain(pool, jobs, submit).values():
                 if isinstance(value, dict) and "trace_spans" in value:
                     # worker telemetry, merged into the armed tracer; not
                     # kernel output, so results_pickled stays 0
                     trace_ingest(value["trace_spans"])
                 elif value is not None:  # pragma: no cover - defensive
-                    self.results_pickled += 1
+                    self.stats.results_pickled += 1
             slots = _result_views(mm, layout, rows)
         finally:
-            self._unlink([desc["name"] for desc, defer in exported if not defer])
-            if path is not None:
-                self._unlink_result(path)
+            self._unlink(owned)
+        lead = tuple(shape[:-1])
         return [
             FPIPBatchResult(*(a.reshape(lead) for a in slot))
             for slot in slots
         ]
 
     def map(self, fn, items) -> list:
-        raise TypeError(
-            "ProcessExecutor cannot run arbitrary closures; use map_tasks "
-            "with a module-level function and picklable payloads"
-        )
-
-    def map_tasks(self, fn, payloads) -> list:
-        payloads = list(payloads)
-        if len(payloads) <= 1:
-            return [fn(p) for p in payloads]
+        """``fn`` must be a module-level function and ``items`` picklable."""
+        items = list(items)
+        if len(items) <= 1:
+            return [fn(item) for item in items]
         pool = self._ensure_pool()
-        jobs = [(i, p, pool.submit(fn, p)) for i, p in enumerate(payloads)]
+        jobs = [(i, item, pool.submit(fn, item)) for i, item in enumerate(items)]
         with self._lock:
-            self.tasks_dispatched += len(jobs)
-        returned = self._drain(pool, jobs, lambda to_pool, p: to_pool.submit(fn, p))
-        return [returned[i] for i in range(len(payloads))]
+            self.stats.tasks_dispatched += len(jobs)
+        returned = self._drain(pool, jobs, lambda to_pool, item: to_pool.submit(fn, item))
+        return [returned[i] for i in range(len(items))]
 
     def close(self) -> None:
         with self._lock:
             pool, self._pool = self._pool, None
-            live, self._live = dict(self._live), {}
-            live_results, self._live_results = list(self._live_results), []
             self._scope_exports = {}
-        for shm in live.values():
-            _release_plan(shm)
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
-        for path in live_results:
-            try:
-                os.unlink(path)
-            except OSError:  # e.g. still memory-mapped on Windows
-                pass
+            live = list(self._live)
+        self._unlink(live)
         if pool is not None:
             pool.shutdown(wait=True)
 
@@ -792,7 +682,11 @@ _BACKEND_CLASSES = {
 }
 
 
-def make_executor(backend=None, workers: int | None = None):
-    """Build an executor from a spec/name/dict plus optional worker override."""
+def make_executor(backend=None, workers: int | None = None,
+                  stats: ExecutorStats | None = None):
+    """Build an executor from a spec/name/dict plus optional worker override;
+    it counts into ``stats`` (a fresh :class:`ExecutorStats` by default)."""
     spec = resolve_executor_spec(backend, workers)
-    return _BACKEND_CLASSES[spec.backend](spec.resolved_workers)
+    workers = 1 if spec.backend == "serial" else spec.resolved_workers
+    return _BACKEND_CLASSES[spec.backend](
+        workers, ExecutorStats() if stats is None else stats)

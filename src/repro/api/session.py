@@ -12,7 +12,7 @@ re-create per call:
   ``thread`` / ``process``) that splits large batches chunk-granularly —
   rows are independent, so every backend is bit-exact with serial execution
   (verified by the test suite). The process backend ships operand planes
-  through shared memory instead of re-pickling plans per task.
+  and result blocks through ``/dev/shm`` files instead of pickling them.
 
 High-level methods cover the repo's workloads: :meth:`inner_product` /
 :meth:`inner_products` for kernel points, :meth:`fp_ip_points_iter` for
@@ -49,7 +49,7 @@ from repro.store import ResultStore
 from repro.store.fingerprint import fingerprint as _result_key
 from repro.utils.rng import as_generator
 
-from repro.api.executor import _slab, make_executor
+from repro.api.executor import EXECUTOR_COUNTERS, ExecutorStats, _slab, make_executor
 from repro.api.spec import PrecisionPoint, RunSpec
 
 __all__ = ["EmulationSession", "SessionStats"]
@@ -59,52 +59,27 @@ MIN_PARALLEL_ROWS = 4096
 
 
 @dataclass
-class SessionStats:
-    """Weight-plan and executor counters (observability for sizing decisions).
+class SessionStats(ExecutorStats):
+    """Weight-plan counters plus the executor's (observability for sizing
+    decisions; the executor writes its counters here directly).
 
     ``plan_hits``/``plan_misses`` count conv weight plans reused from the
-    session's cache and decoded afresh (:meth:`EmulationSession.weight_plan`).
-    ``backend``/``workers`` describe the execution backend;
-    ``tasks_dispatched`` counts tasks actually handed to a pool and
-    ``shm_bytes`` the cumulative shared-memory traffic
-    (process backend only), split into ``shm_bytes_tx`` (operand plans out)
-    and ``shm_bytes_rx`` (result blocks back). ``results_pickled`` counts
-    kernel outputs that crossed the process boundary as pickles — the
-    zero-copy result path keeps it at 0 (asserted by the parity tests).
-    Benchmark JSON asserts on these to prove the pool engaged.
+    session's cache and decoded afresh (:meth:`EmulationSession.weight_plan`);
+    ``kernel_rows`` counts emulated rows and ``parallel_batches`` the calls
+    handed to the backend. The inherited :class:`ExecutorStats` fields prove
+    the pool engaged (benchmark JSON asserts on them).
     """
 
     plan_hits: int = 0
     plan_misses: int = 0
     kernel_rows: int = 0
     parallel_batches: int = 0
-    backend: str = "serial"
-    workers: int = 1
-    tasks_dispatched: int = 0
-    shm_bytes: int = 0
-    shm_bytes_tx: int = 0
-    shm_bytes_rx: int = 0
-    results_pickled: int = 0
-    worker_restarts: int = 0
-    chunks_redispatched: int = 0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 # SessionStats fields that are monotonic counters (the rest are gauges or
 # descriptive strings); shared by the metrics adapter below.
-_SESSION_COUNTERS = frozenset({
-    "plan_hits", "plan_misses", "kernel_rows",
-    "parallel_batches", "tasks_dispatched", "shm_bytes", "shm_bytes_tx",
-    "shm_bytes_rx", "results_pickled", "worker_restarts",
-    "chunks_redispatched",
-})
-
-
-def _collect_session_stats(session: "EmulationSession") -> dict:
-    session._sync_executor_stats()
-    return session.stats.as_dict()
+_SESSION_COUNTERS = EXECUTOR_COUNTERS | {
+    "plan_hits", "plan_misses", "kernel_rows", "parallel_batches"}
 
 
 def sweep_points_to_dicts(points) -> list[dict]:
@@ -180,16 +155,15 @@ class EmulationSession:
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.store = ResultStore.coerce(store)
-        self.executor = make_executor(backend, workers)
+        self.stats = SessionStats()
+        self.executor = make_executor(backend, workers, self.stats)
         self.workers = self.executor.workers
         self.chunk_rows = chunk_rows
-        self.stats = SessionStats(backend=self.executor.name,
-                                  workers=self.executor.workers)
         self._weight_plans: dict = {}
         self._weight_lock = threading.Lock()  # callers may share one session
         self._closed = False
         REGISTRY.register_object(
-            self, _collect_session_stats, prefix="repro_session",
+            self, lambda session: session.stats.as_dict(), prefix="repro_session",
             labels={"instance": REGISTRY.next_instance("emulation")},
             counters=_SESSION_COUNTERS)
 
@@ -198,19 +172,8 @@ class EmulationSession:
     def close(self) -> None:
         """Shut the execution backend down and drop the cached weight plans."""
         self.executor.close()
-        self._sync_executor_stats()
         self._weight_plans.clear()
         self._closed = True
-
-    def _sync_executor_stats(self) -> None:
-        # every backend exposes the full counter set (no getattr fallbacks)
-        self.stats.tasks_dispatched = self.executor.tasks_dispatched
-        self.stats.shm_bytes = self.executor.shm_bytes
-        self.stats.shm_bytes_tx = self.executor.shm_bytes_tx
-        self.stats.shm_bytes_rx = self.executor.shm_bytes_rx
-        self.stats.results_pickled = self.executor.results_pickled
-        self.stats.worker_restarts = self.executor.worker_restarts
-        self.stats.chunks_redispatched = self.executor.chunks_redispatched
 
     def __enter__(self) -> "EmulationSession":
         return self
@@ -338,9 +301,9 @@ class EmulationSession:
         """Context manager pinning process-backend plan exports.
 
         Inside the scope, repeated :meth:`run_kernels` calls that reuse the
-        same plan object ship it through shared memory once instead of once
-        per call (no-op on serial/thread backends). Segments are unlinked
-        when the scope exits.
+        same plan object ship it to the workers once instead of once per
+        call (no-op on serial/thread backends). Its transport files are
+        unlinked when the scope exits.
         """
         return self.executor.plan_scope()
 
@@ -361,10 +324,8 @@ class EmulationSession:
         self.stats.parallel_batches += 1
         with trace_span("engine.kernels", rows=rows, kernels=len(points),
                         parallel=True, backend=self.executor.name):
-            results = self.executor.run_points(pa, pb, points, shape,
-                                               chunk_rows=self.chunk_rows)
-        self._sync_executor_stats()
-        return results
+            return self.executor.run_points(pa, pb, points, shape,
+                                            chunk_rows=self.chunk_rows)
 
     @staticmethod
     def _pair_shape(pa: PackedOperands, pb: PackedOperands) -> tuple[int, ...]:

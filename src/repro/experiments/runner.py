@@ -161,7 +161,6 @@ def _replay(args) -> Result:
     executor = _session_executor(spec.executor, args.backend, args.workers)
     with open_session(backend=executor, store=args.store) as session:
         output = render(session.sweep(spec), title=spec.name)
-    # closing the session synced its executor counters into the stats
     return Result(output, "spec", path,
                   {"spec": path, "stats": session.stats.as_dict()})
 

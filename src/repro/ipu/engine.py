@@ -233,9 +233,9 @@ class PackedOperands:
 
         The inverse, :meth:`from_buffers`, reconstructs the plan as zero-copy
         views into whatever memory the buffers were copied to — this is how
-        the process execution backend ships plans through
-        ``multiprocessing.shared_memory`` without re-pickling the (much
-        larger) decoded planes per task.
+        the process execution backend ships plans through memory-mapped
+        ``/dev/shm`` files without re-pickling the (much larger) decoded
+        planes per task.
         """
         sign = np.ascontiguousarray(self.sign)
         exp = np.ascontiguousarray(self.exp)
@@ -255,7 +255,7 @@ class PackedOperands:
         """Rebuild a plan from :meth:`to_buffers` output without copying.
 
         ``buffers`` are three buffer-protocol objects (bytes, memoryviews,
-        shared-memory slices) holding the sign/exp/nibble planes; the arrays
+        memory-mapped file slices) holding the sign/exp/nibble planes; the arrays
         of the returned plan are views into them. The format is resolved by
         name through :mod:`repro.fp.registry`, so custom registered formats
         survive the trip as long as the receiving process shares the registry
@@ -328,7 +328,7 @@ def fp_ip_points(
     each of length ``rows`` — and the kernel writes results directly into
     them (the returned results are views). This is the zero-copy result
     path of the process execution backend: workers write into
-    shared-memory views and nothing is pickled back.
+    memory-mapped /dev/shm views and nothing is pickled back.
     """
     if pa.fmt.name != pb.fmt.name:
         raise ValueError(f"operand formats differ: {pa.fmt.name} vs {pb.fmt.name}")

@@ -57,6 +57,10 @@ TRACE_HEADER = "X-Repro-Trace"
 
 _TRACER: Optional["Tracer"] = None
 _ARM_LOCK = threading.Lock()
+# One span-id counter per process, shared by every Tracer: a pool worker
+# arms a fresh tracer per task, and a per-tracer counter would restart each
+# task's ids at ``{pid}-1``, so the parent would drop them as duplicates.
+_SPAN_IDS = itertools.count(1)
 
 
 class Span:
@@ -174,14 +178,13 @@ class Tracer:
         self._ids: set = set()
         self._lock = threading.Lock()
         self._tls = _TLS()
-        self._counter = itertools.count(1)
 
     # -- id generation ---------------------------------------------------
     def _new_trace_id(self) -> str:
         return secrets.token_hex(8)
 
     def _new_span_id(self) -> str:
-        return f"{os.getpid():x}-{next(self._counter):x}"
+        return f"{os.getpid():x}-{next(_SPAN_IDS):x}"
 
     # -- span lifecycle --------------------------------------------------
     def _current_ctx(self) -> Optional[tuple]:

@@ -1,12 +1,12 @@
 """Execution backends: process/serial bit-identity, streaming, shm hygiene."""
 
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from multiprocessing import shared_memory
 
 from repro.api import EmulationSession, ExecutorSpec, PrecisionPoint, RunSpec
 from repro.api.executor import chunk_spans, make_executor
@@ -172,7 +172,7 @@ class TestProcessParity:
         want = emulated_conv2d(x, w, None, 1, 1, 12)
         got = emulated_conv2d(x, w, None, 1, 1, 12, session=process_session)
         assert np.array_equal(got, want)
-        assert process_session.executor.live_segments == []
+        assert process_session.executor.live_files == []
 
     def test_custom_registered_format_crosses_fork(self, process_session):
         """Plans resolve formats by registry name in the workers; fork
@@ -241,44 +241,45 @@ class TestStreaming:
         assert peak < full_bytes / 4, f"peak {peak} vs full {full_bytes}"
 
 
-# -- shared-memory hygiene -------------------------------------------------------
+# -- /dev/shm transport hygiene ---------------------------------------------------
 
 class TestSharedMemoryCleanup:
     def test_segments_unlinked_after_each_call(self, process_session):
         a, b = operands(batch=6000, n=8, seed=12)
+        stats = process_session.stats
+        before_tx = stats.shm_bytes_tx
         process_session.inner_product(a, b, 16)
         ex = process_session.executor
-        names = list(ex.last_segments)
-        assert names, "process run should have exported operand planes"
-        assert ex.live_segments == []
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        paths = list(ex.last_files)
+        assert len(paths) == 3, "two operand plans and one result block"
+        plans = paths[:2]  # plans are exported before the result block
+        assert ex.live_files == []
+        for path in plans:
+            assert not os.path.exists(path)
+        assert stats.shm_bytes_tx > before_tx
 
-    def test_no_segments_leak_after_close(self):
+    def test_no_files_leak_after_close(self):
         a, b = operands(batch=6000, n=8, seed=13)
         s = EmulationSession(workers=2, backend="process")
         s.inner_product(a, b, 16)
         ex = s.executor
-        names = list(ex.last_segments)
+        paths = list(ex.last_files)
         s.close()
-        assert ex.live_segments == []
+        assert paths and ex.live_files == []
         assert ex._pool is None
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        for path in paths:
+            assert not os.path.exists(path)
 
     def test_close_unlinks_interrupted_exports(self):
-        """Segments registered but never unlinked (crash path) die at close."""
+        """Plan files registered but never unlinked (crash path) die at close."""
         ex = make_executor("process", 2)
         a, _ = operands(batch=64, n=8)
         desc, deferred = ex._export(pack_operands(a))
         assert not deferred
-        assert ex.live_segments == [desc["name"]]
+        assert ex.live_files == [desc["path"]]
         ex.close()
-        assert ex.live_segments == []
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=desc["name"])
+        assert ex.live_files == []
+        assert not os.path.exists(desc["path"])
 
     def test_kernel_scope_exports_shared_plan_once(self, process_session):
         """Per-channel loops ship a reused plan to the workers one time."""
@@ -289,19 +290,19 @@ class TestSharedMemoryCleanup:
                     for b_row in b[:3]]
         s = process_session
         ex = s.executor
-        before = ex.shm_bytes_tx
+        before = s.stats.shm_bytes_tx
         pa = s.pack(a)
         from repro.ipu.engine import KernelPoint
 
         with s.kernel_scope():
             rows = [s.run_kernels(pa, s.pack(b[ch:ch + 1]), [KernelPoint(16)])[0]
                     for ch in range(3)]
-            assert ex.live_segments  # pinned until scope exit
-        assert ex.live_segments == []  # unlinked at scope exit
+            assert ex.live_files  # pinned until scope exit
+        assert ex.live_files == []  # unlinked at scope exit
         # one export of the big activation plan + one tiny row plan per call
         # (tx only: result blocks are counted separately in shm_bytes_rx)
         big_plan_bytes = pa.sign.nbytes + pa.exp.nbytes + pa.nibbles.nbytes
-        assert ex.shm_bytes_tx - before < 2 * big_plan_bytes
+        assert s.stats.shm_bytes_tx - before < 2 * big_plan_bytes
         for got, ref in zip(rows, want):
             assert np.array_equal(got.values, ref.values)
 
@@ -310,32 +311,29 @@ class TestSharedMemoryCleanup:
 
 class TestResultBlockCleanup:
     def test_result_files_unlinked_after_each_call(self, process_session):
-        import os
-
         a, b = operands(batch=6000, n=8, seed=21)
-        before_rx = process_session.executor.shm_bytes_rx
+        stats = process_session.stats
+        before_rx = stats.shm_bytes_rx
         got = process_session.inner_product(a, b, 16)
         ex = process_session.executor
-        paths = list(ex.last_result_files)
-        assert paths, "process run should have allocated a result block"
-        assert ex.live_result_files == []
-        for path in paths:
-            assert not os.path.exists(path)
+        paths = list(ex.last_files)
+        assert len(paths) == 3, "two operand plans and one result block"
+        result = paths[-1]  # the result block is created after the plans
+        assert ex.live_files == []
+        assert not os.path.exists(result)
         # the returned views outlive the unlink (POSIX keeps the mapping)
-        assert np.isfinite(got.values).all() or got.values.size
-        assert ex.shm_bytes_rx > before_rx
-        assert ex.results_pickled == 0
+        want = EmulationSession().inner_product(a, b, 16)
+        assert_results_equal(got, want)
+        assert stats.shm_bytes_rx > before_rx
+        assert stats.results_pickled == 0
 
     def test_crash_mid_sweep_unlinks_result_file(self):
-        """A worker that dies mid-sweep must not leak its result block.
+        """A worker that dies mid-sweep must not leak its transport files.
 
         An unservable kernel point raises inside the forked worker (the
         parent never resolves points on this path), which is exactly the
-        crash shape: the result file exists, futures fail, cleanup must
-        still run.
+        crash shape: the files exist, futures fail, cleanup must still run.
         """
-        import os
-
         ex = make_executor("process", 2)
         try:
             a, b = operands(batch=6000, n=8, seed=22)
@@ -345,26 +343,22 @@ class TestResultBlockCleanup:
             with pytest.raises(ValueError, match="single-cycle"):
                 ex.run_points(pa, pb, [KernelPoint(12, 28, multi_cycle=False)],
                               (6000, 8))
-            assert ex.live_result_files == []
-            assert ex.live_segments == []
-            for path in ex.last_result_files:
+            assert ex.live_files == []
+            assert len(ex.last_files) == 3
+            for path in ex.last_files:
                 assert not os.path.exists(path)
         finally:
             ex.close()
 
     def test_close_unlinks_interrupted_result_files(self):
         """Result files registered but never unlinked (crash path) die at
-        close, mirroring the operand-segment guarantee."""
-        import os
-
-        from repro.api.executor import _create_result_file
-
+        close, mirroring the operand-plan guarantee."""
         ex = make_executor("process", 2)
-        path = _create_result_file(1024)
-        ex._live_results.append(path)
-        assert ex.live_result_files == [path]
+        path = ex._create(1024, rx=True)
+        assert ex.live_files == [path]
+        assert ex.stats.shm_bytes_rx == ex.stats.shm_bytes == 1024
         ex.close()
-        assert ex.live_result_files == []
+        assert ex.live_files == []
         assert not os.path.exists(path)
 
     def test_session_stats_prove_zero_pickled_results(self):

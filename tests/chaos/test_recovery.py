@@ -62,8 +62,8 @@ class TestLocalRecoveryProperty:
             injected = engine.stats()["injected"]
             assert injected.get("worker-crash", 0) >= 1
             assert injected.get("store-corrupt", 0) >= 1
-            assert session.executor.worker_restarts >= 1
-            assert session.executor.chunks_redispatched >= 1
+            assert session.stats.worker_restarts >= 1
+            assert session.stats.chunks_redispatched >= 1
         assert chaotic.points == reference_points
 
         # the corruption was never served; verify finds and quarantines it,

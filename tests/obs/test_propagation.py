@@ -43,8 +43,7 @@ def _sweep_traced(backend, workers=2, plan=None):
                 with chaos_install(plan) as engine:
                     sweep = session.sweep(SPEC)
                 assert engine.stats()["injected"].get("worker-crash", 0) >= 1
-            session._sync_executor_stats()
-            stats = session.stats.as_dict()
+            stats = session.stats.as_dict()  # live while the session is open
         return sweep.points, tracer.export(), stats
 
 
@@ -73,6 +72,10 @@ class TestProcessBackend:
         assert _stats_dicts(points) == _stats_dicts(reference_points)
         chunks = _assert_chunks_parented(spans, "process")
         assert all(c["pid"] != os.getpid() for c in chunks)
+        # one span per dispatched chunk: every worker task's span arrives
+        assert stats["tasks_dispatched"] > 0
+        assert len(chunks) == stats["tasks_dispatched"]
+        assert stats["shm_bytes_tx"] > 0
         # shipping spans home must not count as pickled results
         assert stats["results_pickled"] == 0
 
@@ -89,9 +92,22 @@ class TestProcessBackend:
         # no duplicate span ids survived the crash + re-dispatch
         ids = [s["span_id"] for s in spans]
         assert len(ids) == len(set(ids))
-        # the re-dispatched chunk ranges still cover every dispatched chunk
-        ranges = sorted((c["attrs"]["lo"], c["attrs"]["hi"]) for c in chunks)
-        assert len(ranges) == len(set(ranges))
+        # per kernel call, the chunk ranges are unique and cover its rows:
+        # the crashed chunk's span arrives once, from its re-dispatch
+        kernels = {s["span_id"]: s for s in spans if s["name"] == "engine.kernels"}
+        by_parent = {}
+        for c in chunks:
+            by_parent.setdefault(c["parent_id"], []).append(
+                (c["attrs"]["lo"], c["attrs"]["hi"]))
+        for parent_id, ranges in by_parent.items():
+            ranges.sort()
+            assert len(ranges) == len(set(ranges)), ranges
+            edges = [lo for lo, _ in ranges] + [ranges[-1][1]]
+            assert edges[0] == 0 and edges[-1] == kernels[parent_id]["attrs"]["rows"]
+            assert [hi for _, hi in ranges] == edges[1:], ranges
+        # one span per chunk; a re-dispatched chunk was dispatched twice
+        assert len(chunks) == (stats["tasks_dispatched"]
+                               - stats["chunks_redispatched"])
 
 
 class TestByteIdentity:
