@@ -76,7 +76,7 @@ def emulated_conv2d(
 
     ``session`` (an :class:`repro.api.EmulationSession`) keeps the weight
     plan across calls and runs the per-channel kernels through its execution
-    backend, so large batches split across its thread/process pool
+    backend, so large batches split across its thread pool
     (bit-identical results either way). Without one, a transient serial
     session serves the call.
     """
@@ -98,10 +98,9 @@ def emulated_conv2d(
     with _session_or_transient(session) as session:
         acts = session.pack(chunked, FP16)
         wplan = session.weight_plan(weight, n_ipu)            # (K, chunks, n_ipu)
-        with session.kernel_scope():  # ship the act plan to workers once
-            for ch in range(k):
-                res = session.run_kernels(acts, wplan[ch], [point])[0]
-                out[ch] = res.values.sum(axis=1)              # exact chunk partials
+        for ch in range(k):
+            res = session.run_kernels(acts, wplan[ch], [point])[0]
+            out[ch] = res.values.sum(axis=1)                  # exact chunk partials
     out_t = out.T.reshape(nimg, p, k).transpose(0, 2, 1)
     if acc_fmt.name == "fp32":
         out_t = out_t.astype(np.float32)

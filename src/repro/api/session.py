@@ -9,10 +9,9 @@ re-create per call:
   weights are decoded once and reused by every batch and precision, while
   streamed operands are packed per call;
 - a pluggable **execution backend** (:mod:`repro.api.executor`: ``serial`` /
-  ``thread`` / ``process``) that splits large batches chunk-granularly —
-  rows are independent, so every backend is bit-exact with serial execution
-  (verified by the test suite). The process backend ships operand planes
-  and result blocks through ``/dev/shm`` files instead of pickling them.
+  ``thread``) that splits large batches chunk-granularly — rows are
+  independent, so every backend is bit-exact with serial execution
+  (verified by the test suite).
 
 High-level methods cover the repo's workloads: :meth:`inner_product` /
 :meth:`inner_products` for kernel points, :meth:`fp_ip_points_iter` for
@@ -131,7 +130,7 @@ class EmulationSession:
         executor's task splitting. ``None`` auto-sizes from
         :data:`repro.ipu.engine.DEFAULT_CHUNK_ELEMENTS`.
     backend:
-        Execution backend: ``"serial"`` / ``"thread"`` / ``"process"``, an
+        Execution backend: ``"serial"`` / ``"thread"``, an
         :class:`repro.api.executor.ExecutorSpec`, or a spec dict. ``None``
         keeps the historical convention — threads when ``workers > 1``,
         serial otherwise.
@@ -297,16 +296,6 @@ class EmulationSession:
         """
         return self._run_points(pa, pb, points)
 
-    def kernel_scope(self):
-        """Context manager pinning process-backend plan exports.
-
-        Inside the scope, repeated :meth:`run_kernels` calls that reuse the
-        same plan object ship it to the workers once instead of once per
-        call (no-op on serial/thread backends). Its transport files are
-        unlinked when the scope exits.
-        """
-        return self.executor.plan_scope()
-
     def _run_points(self, pa: PackedOperands, pb: PackedOperands,
                     points: list[KernelPoint], _unused=None):
         """fp_ip_points through the execution backend when profitable."""
@@ -346,7 +335,7 @@ class EmulationSession:
         leading axis. Peak extra memory is one block's outputs plus the
         engine's work buffers — O(chunk_rows x kernels), independent of the
         total batch size. Each block still runs through the execution
-        backend, so a process/thread pool parallelizes within blocks.
+        backend, so a thread pool parallelizes within blocks.
         """
         if self._closed:
             raise RuntimeError("session is closed")

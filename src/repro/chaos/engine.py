@@ -9,8 +9,6 @@ honest).
 Hook sites and what they return / raise when a fault matches:
 
 ==================  ==========================================================
-``executor.chunk``  returns ``{"action": "crash"}`` — the executor forwards a
-                    crash directive to the worker task, which ``os._exit``\\ s
 ``store.put``       returns ``{"action": "corrupt"}`` — the store corrupts the
                     just-committed bytes on disk (checksum sidecar kept stale)
 ``fleet.shard``     raises :class:`InjectedFault` for the matching shard
@@ -85,8 +83,6 @@ class ChaosEngine:
                 self._injected[fault.kind] = self._injected.get(fault.kind, 0) + 1
                 if fault.kind == "slow-response":
                     sleep_for = max(sleep_for, fault.delay)
-                elif fault.kind == "worker-crash":
-                    directive = {"action": "crash"}
                 elif fault.kind == "store-corrupt":
                     directive = {"action": "corrupt"}
                 else:  # conn-reset / endpoint-timeout

@@ -8,11 +8,11 @@ Usage::
     python -m repro.experiments.runner --all --quick --json timings.json
     python -m repro.experiments.runner --spec examples/specs/fig3_quick.json
     python -m repro.experiments.runner --spec spec.json --workers 4
-    python -m repro.experiments.runner --spec spec.json --backend process --workers 8
+    python -m repro.experiments.runner --spec spec.json --backend thread --workers 8
     python -m repro.experiments.runner --spec spec.json --store results/
     python -m repro.experiments.runner --design-spec examples/specs/design_pareto.json
     python -m repro.experiments.runner --search examples/specs/search_quick.json
-    python -m repro.experiments.runner --search spec.json --store results/ --backend process
+    python -m repro.experiments.runner --search spec.json --store results/ --backend thread
     python -m repro.experiments.runner --serve --port 8731 --store results/
     python -m repro.experiments.runner --serve --service-workers 4 --queue-cap 64
     python -m repro.experiments.runner --serve --host 0.0.0.0 --token s3cret
@@ -417,7 +417,7 @@ def _parser() -> argparse.ArgumentParser:
     bound("--workers", "session workers", type=_positive_int)
     bound("--backend", "execution backend (overrides the spec's executor "
                        "field; results are bit-identical across backends)",
-          choices=("serial", "thread", "process"))
+          choices=("serial", "thread"))
     bound("--store", "persistent result store directory (warm replays are "
                      "served from disk; interrupted sweeps and searches "
                      "resume); with --fleet it backs the coordinator's "

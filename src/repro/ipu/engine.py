@@ -16,10 +16,9 @@ FP decode (~half the runtime) once per *sweep point* instead of once per
     Its layout is a contract — ``sign`` bool ``(..., n)``, ``exp`` int16
     ``(..., n)``, ``nibbles`` uint8 ``(..., n, K)`` LSB-first. The digits
     are stored nibble-major, as K contiguous ``(..., n)`` planes
-    (:attr:`PackedOperands.planes`) behind that view. The
-    :meth:`PackedOperands.to_buffers` codec ships the planes to process
-    workers, and the golden-model row replay in ``perfbench/`` slices the
-    view directly and decodes it with :func:`plan_values`. The engine
+    (:attr:`PackedOperands.planes`) behind that view. The kernels read
+    the planes, and the golden-model row replay in ``perfbench/`` slices
+    the view directly and decodes it with :func:`plan_values`. The engine
     accepts any memory layout of the view; nibble-major is the fast one.
 
 ``fp_ip_points``
@@ -222,53 +221,6 @@ class PackedOperands:
             self.nibbles.reshape(shape + (self.k_total,)),
         )
 
-    # -- compact codec (process-backend transport) ---------------------------
-
-    def to_buffers(self) -> tuple[dict, list[np.ndarray]]:
-        """``(meta, buffers)``: a JSON-safe descriptor plus the plan's three
-        arrays as contiguous buffers: ``sign``, ``exp``, and the nibble
-        digits as :attr:`planes` ``(K, ..., n)``. For a :func:`pack_operands`
-        plan every buffer is the plan's own memory; other layouts (broadcast
-        slabs, C-ordered nibbles) are copied once.
-
-        The inverse, :meth:`from_buffers`, reconstructs the plan as zero-copy
-        views into whatever memory the buffers were copied to — this is how
-        the process execution backend ships plans through memory-mapped
-        ``/dev/shm`` files without re-pickling the (much larger) decoded
-        planes per task.
-        """
-        sign = np.ascontiguousarray(self.sign)
-        exp = np.ascontiguousarray(self.exp)
-        planes = np.ascontiguousarray(self.planes)
-        meta = {
-            "fmt": self.fmt.name,
-            "fields": [
-                ("sign", sign.shape, sign.dtype.str),
-                ("exp", exp.shape, exp.dtype.str),
-                ("planes", planes.shape, planes.dtype.str),
-            ],
-        }
-        return meta, [sign, exp, planes]
-
-    @classmethod
-    def from_buffers(cls, meta: dict, buffers) -> "PackedOperands":
-        """Rebuild a plan from :meth:`to_buffers` output without copying.
-
-        ``buffers`` are three buffer-protocol objects (bytes, memoryviews,
-        memory-mapped file slices) holding the sign/exp/nibble planes; the arrays
-        of the returned plan are views into them. The format is resolved by
-        name through :mod:`repro.fp.registry`, so custom registered formats
-        survive the trip as long as the receiving process shares the registry
-        (fork start method, or re-registration).
-        """
-        from repro.fp.registry import parse_format
-
-        sign, exp, planes = (
-            np.frombuffer(buf, dtype=np.dtype(dstr)).reshape(shape)
-            for buf, (_, shape, dstr) in zip(buffers, meta["fields"])
-        )
-        return cls(parse_format(meta["fmt"]), sign, exp, np.moveaxis(planes, 0, -1))
-
 
 def pack_operands(values: np.ndarray, fmt: FPFormat = FP16) -> PackedOperands:
     """Cast ``values`` into ``fmt`` and build its :class:`PackedOperands`.
@@ -326,9 +278,7 @@ def fp_ip_points(
     ``out``, when given, is one 5-tuple of preallocated flat arrays per
     point — ``(values, rounded, max_exp, alignment_cycles, total_cycles)``,
     each of length ``rows`` — and the kernel writes results directly into
-    them (the returned results are views). This is the zero-copy result
-    path of the process execution backend: workers write into
-    memory-mapped /dev/shm views and nothing is pickled back.
+    them (the returned results are views).
     """
     if pa.fmt.name != pb.fmt.name:
         raise ValueError(f"operand formats differ: {pa.fmt.name} vs {pb.fmt.name}")

@@ -1,6 +1,5 @@
-"""Execution backends: process/serial bit-identity, streaming, shm hygiene."""
+"""Execution backends: thread/serial bit-identity, streaming, spec plumbing."""
 
-import os
 import tracemalloc
 
 import numpy as np
@@ -9,8 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import EmulationSession, ExecutorSpec, PrecisionPoint, RunSpec
-from repro.api.executor import chunk_spans, make_executor
-from repro.ipu.engine import PackedOperands, pack_operands
+from repro.api.executor import chunk_spans
 
 
 def operands(batch=64, n=8, seed=0):
@@ -31,9 +29,9 @@ def assert_results_equal(got, want, ctx=""):
 
 
 @pytest.fixture(scope="module")
-def process_session():
-    """One process-backed session for the whole module (pool reuse)."""
-    with EmulationSession(workers=2, backend="process") as s:
+def pooled_session():
+    """One 2-worker thread session for the whole module (pool reuse)."""
+    with EmulationSession(workers=2, backend="thread") as s:
         yield s
 
 
@@ -42,33 +40,38 @@ def process_session():
 class TestExecutorSpec:
     def test_round_trip_through_run_spec_json(self):
         spec = RunSpec(sources=("laplace",), points=(PrecisionPoint(16),),
-                       executor=ExecutorSpec("process", 8))
+                       executor=ExecutorSpec("thread", 8))
         again = RunSpec.from_json(spec.to_json())
         assert again == spec
-        assert again.executor == ExecutorSpec("process", 8)
+        assert again.executor == ExecutorSpec("thread", 8)
 
     def test_accepts_dict_and_bare_name(self):
         assert RunSpec(points=(PrecisionPoint(16),),
                        executor={"backend": "thread", "workers": 2}
                        ).executor == ExecutorSpec("thread", 2)
-        assert ExecutorSpec.from_dict("process") == ExecutorSpec("process")
+        assert ExecutorSpec.from_dict("thread") == ExecutorSpec("thread")
         assert ExecutorSpec.from_dict(None) == ExecutorSpec()
 
     def test_rejects_unknown_backend_and_bad_workers(self):
         with pytest.raises(ValueError):
             ExecutorSpec("gpu")
+        with pytest.raises(ValueError, match="'serial', 'thread'"):
+            ExecutorSpec("process")  # removed backend
+        d = RunSpec(points=(PrecisionPoint(16),)).to_dict()
+        with pytest.raises(ValueError):
+            RunSpec.from_dict({**d, "executor": "process"})
         with pytest.raises(ValueError):
             ExecutorSpec("thread", 0)
 
     def test_merged_overrides(self):
-        spec = ExecutorSpec("thread", 4)
-        assert spec.merged(backend="process") == ExecutorSpec("process", 4)
-        assert spec.merged(workers=2) == ExecutorSpec("thread", 2)
+        spec = ExecutorSpec("serial", 4)
+        assert spec.merged(backend="thread") == ExecutorSpec("thread", 4)
+        assert spec.merged(workers=2) == ExecutorSpec("serial", 2)
         assert spec.merged() == spec
 
     def test_session_accepts_spec_object(self):
-        with EmulationSession(backend=ExecutorSpec("process", 2)) as s:
-            assert s.stats.backend == "process" and s.stats.workers == 2
+        with EmulationSession(backend=ExecutorSpec("thread", 2)) as s:
+            assert s.stats.backend == "thread" and s.stats.workers == 2
 
 
 # -- chunk-granular task splitting -------------------------------------------
@@ -94,32 +97,7 @@ class TestChunkSpans:
         assert chunk_spans(1, 1, 16, 4) == [(0, 1)]
 
 
-# -- PackedOperands codec ------------------------------------------------------
-
-class TestPlanCodec:
-    def test_buffers_round_trip(self):
-        a, _ = operands(batch=32, n=8)
-        plan = pack_operands(a)
-        meta, buffers = plan.to_buffers()
-        copied = [bytes(np.ascontiguousarray(b)) for b in buffers]
-        again = PackedOperands.from_buffers(meta, copied)
-        assert again.fmt.name == plan.fmt.name
-        assert np.array_equal(again.sign, plan.sign)
-        assert np.array_equal(again.exp, plan.exp)
-        assert np.array_equal(again.nibbles, plan.nibbles)
-
-    def test_views_are_zero_copy(self):
-        a, _ = operands(batch=16, n=4)
-        plan = pack_operands(a)
-        meta, buffers = plan.to_buffers()
-        blob = bytearray(bytes(np.ascontiguousarray(buffers[2])))
-        again = PackedOperands.from_buffers(
-            meta, [bytes(np.ascontiguousarray(buffers[0])),
-                   bytes(np.ascontiguousarray(buffers[1])), memoryview(blob)])
-        assert again.nibbles.base is not None  # a view, not a copy
-
-
-# -- process backend bit-identity ----------------------------------------------
+# -- pooled backend bit-identity -----------------------------------------------
 
 PROPERTY_POINTS = [
     PrecisionPoint(16),                        # int32 fast path at n=16
@@ -132,10 +110,10 @@ PROPERTY_POINTS = [
 
 
 class TestProcessParity:
-    def test_inner_products_bit_identical(self, process_session):
+    def test_inner_products_bit_identical(self, pooled_session):
         a, b = operands(batch=6000, n=8, seed=11)
         serial = EmulationSession().inner_products(a, b, PROPERTY_POINTS)
-        parallel = process_session.inner_products(a, b, PROPERTY_POINTS)
+        parallel = pooled_session.inner_products(a, b, PROPERTY_POINTS)
         for s_res, p_res in zip(serial, parallel):
             assert_results_equal(s_res, p_res)
 
@@ -151,37 +129,39 @@ class TestProcessParity:
         points=st.lists(st.sampled_from(PROPERTY_POINTS), min_size=1,
                         max_size=3, unique=True),
     )
-    def test_random_run_specs_bit_identical(self, process_session, seed,
+    def test_random_run_specs_bit_identical(self, pooled_session, seed,
                                             batch, n, chunks, sources, points):
         """The property the backend swap hinges on: any RunSpec the API can
-        express produces byte-identical sweeps on the process backend."""
+        express produces byte-identical sweeps on the pooled backend."""
         spec = RunSpec(name="prop", sources=tuple(sorted(sources)),
                        points=tuple(points), batch=batch, n=n,
                        chunks=chunks, seed=seed)
         serial = EmulationSession().sweep(spec)
-        parallel = process_session.sweep(spec)
+        parallel = pooled_session.sweep(spec)
         assert serial.points == parallel.points
 
-    def test_emulated_conv_through_process_backend(self, process_session):
-        """The per-channel conv loop engages the pool and stays bit-exact."""
+    def test_emulated_conv_through_process_backend(self, pooled_session):
+        """The per-channel conv loop engages the pool and stays bit-exact
+        (the name predates the thread-only pooled backend)."""
         from repro.analysis.accuracy import emulated_conv2d
 
         rng = np.random.default_rng(20)
         x = rng.normal(0, 1, (16, 3, 18, 18))   # 5184 rows > the pool gate
         w = rng.normal(0, 0.5, (4, 3, 3, 3))
         want = emulated_conv2d(x, w, None, 1, 1, 12)
-        got = emulated_conv2d(x, w, None, 1, 1, 12, session=process_session)
+        before = pooled_session.stats.tasks_dispatched
+        got = emulated_conv2d(x, w, None, 1, 1, 12, session=pooled_session)
         assert np.array_equal(got, want)
-        assert process_session.executor.live_files == []
+        assert pooled_session.stats.tasks_dispatched > before
 
-    def test_custom_registered_format_crosses_fork(self, process_session):
-        """Plans resolve formats by registry name in the workers; fork
-        inherits parent registrations."""
+    def test_custom_registered_format_crosses_fork(self, pooled_session):
+        """A non-default registry format (fp32 plans) splits across the
+        pool bit-identically."""
         rng = np.random.default_rng(5)
         a = rng.normal(0, 1, (5000, 8))
         b = rng.normal(0, 1, (5000, 8))
         serial = EmulationSession().inner_product(a, b, 16, fmt="fp32")
-        parallel = process_session.inner_product(a, b, 16, fmt="fp32")
+        parallel = pooled_session.inner_product(a, b, 16, fmt="fp32")
         assert_results_equal(serial, parallel)
 
 
@@ -209,11 +189,11 @@ class TestStreaming:
             assert np.array_equal(
                 np.concatenate([c[i].total_cycles for c in seen]), res.total_cycles)
 
-    def test_streaming_through_process_backend(self, process_session):
+    def test_streaming_through_process_backend(self, pooled_session):
         a, b = operands(batch=9000, n=8, seed=8)
         serial = EmulationSession().inner_product(a, b, 16)
-        chunks = list(process_session.fp_ip_points_iter(a, b, [16],
-                                                        chunk_rows=3000))
+        chunks = list(pooled_session.fp_ip_points_iter(a, b, [16],
+                                                       chunk_rows=3000))
         got = np.concatenate([c[2][0].values for c in chunks])
         assert np.array_equal(got, serial.values)
 
@@ -241,147 +221,11 @@ class TestStreaming:
         assert peak < full_bytes / 4, f"peak {peak} vs full {full_bytes}"
 
 
-# -- /dev/shm transport hygiene ---------------------------------------------------
-
-class TestSharedMemoryCleanup:
-    def test_segments_unlinked_after_each_call(self, process_session):
-        a, b = operands(batch=6000, n=8, seed=12)
-        stats = process_session.stats
-        before_tx = stats.shm_bytes_tx
-        process_session.inner_product(a, b, 16)
-        ex = process_session.executor
-        paths = list(ex.last_files)
-        assert len(paths) == 3, "two operand plans and one result block"
-        plans = paths[:2]  # plans are exported before the result block
-        assert ex.live_files == []
-        for path in plans:
-            assert not os.path.exists(path)
-        assert stats.shm_bytes_tx > before_tx
-
-    def test_no_files_leak_after_close(self):
-        a, b = operands(batch=6000, n=8, seed=13)
-        s = EmulationSession(workers=2, backend="process")
-        s.inner_product(a, b, 16)
-        ex = s.executor
-        paths = list(ex.last_files)
-        s.close()
-        assert paths and ex.live_files == []
-        assert ex._pool is None
-        for path in paths:
-            assert not os.path.exists(path)
-
-    def test_close_unlinks_interrupted_exports(self):
-        """Plan files registered but never unlinked (crash path) die at close."""
-        ex = make_executor("process", 2)
-        a, _ = operands(batch=64, n=8)
-        desc, deferred = ex._export(pack_operands(a))
-        assert not deferred
-        assert ex.live_files == [desc["path"]]
-        ex.close()
-        assert ex.live_files == []
-        assert not os.path.exists(desc["path"])
-
-    def test_kernel_scope_exports_shared_plan_once(self, process_session):
-        """Per-channel loops ship a reused plan to the workers one time."""
-        a, b = operands(batch=6000, n=8, seed=14)
-        with EmulationSession() as serial:
-            pa, pb = serial.pack(a), serial.pack(b)
-            want = [serial.inner_product(pa, b_row.reshape(1, -1), 16)
-                    for b_row in b[:3]]
-        s = process_session
-        ex = s.executor
-        before = s.stats.shm_bytes_tx
-        pa = s.pack(a)
-        from repro.ipu.engine import KernelPoint
-
-        with s.kernel_scope():
-            rows = [s.run_kernels(pa, s.pack(b[ch:ch + 1]), [KernelPoint(16)])[0]
-                    for ch in range(3)]
-            assert ex.live_files  # pinned until scope exit
-        assert ex.live_files == []  # unlinked at scope exit
-        # one export of the big activation plan + one tiny row plan per call
-        # (tx only: result blocks are counted separately in shm_bytes_rx)
-        big_plan_bytes = pa.sign.nbytes + pa.exp.nbytes + pa.nibbles.nbytes
-        assert s.stats.shm_bytes_tx - before < 2 * big_plan_bytes
-        for got, ref in zip(rows, want):
-            assert np.array_equal(got.values, ref.values)
-
-
-# -- zero-copy result blocks -----------------------------------------------------
-
-class TestResultBlockCleanup:
-    def test_result_files_unlinked_after_each_call(self, process_session):
-        a, b = operands(batch=6000, n=8, seed=21)
-        stats = process_session.stats
-        before_rx = stats.shm_bytes_rx
-        got = process_session.inner_product(a, b, 16)
-        ex = process_session.executor
-        paths = list(ex.last_files)
-        assert len(paths) == 3, "two operand plans and one result block"
-        result = paths[-1]  # the result block is created after the plans
-        assert ex.live_files == []
-        assert not os.path.exists(result)
-        # the returned views outlive the unlink (POSIX keeps the mapping)
-        want = EmulationSession().inner_product(a, b, 16)
-        assert_results_equal(got, want)
-        assert stats.shm_bytes_rx > before_rx
-        assert stats.results_pickled == 0
-
-    def test_crash_mid_sweep_unlinks_result_file(self):
-        """A worker that dies mid-sweep must not leak its transport files.
-
-        An unservable kernel point raises inside the forked worker (the
-        parent never resolves points on this path), which is exactly the
-        crash shape: the files exist, futures fail, cleanup must still run.
-        """
-        ex = make_executor("process", 2)
-        try:
-            a, b = operands(batch=6000, n=8, seed=22)
-            pa, pb = pack_operands(a), pack_operands(b)
-            from repro.ipu.engine import KernelPoint
-
-            with pytest.raises(ValueError, match="single-cycle"):
-                ex.run_points(pa, pb, [KernelPoint(12, 28, multi_cycle=False)],
-                              (6000, 8))
-            assert ex.live_files == []
-            assert len(ex.last_files) == 3
-            for path in ex.last_files:
-                assert not os.path.exists(path)
-        finally:
-            ex.close()
-
-    def test_close_unlinks_interrupted_result_files(self):
-        """Result files registered but never unlinked (crash path) die at
-        close, mirroring the operand-plan guarantee."""
-        ex = make_executor("process", 2)
-        path = ex._create(1024, rx=True)
-        assert ex.live_files == [path]
-        assert ex.stats.shm_bytes_rx == ex.stats.shm_bytes == 1024
-        ex.close()
-        assert ex.live_files == []
-        assert not os.path.exists(path)
-
-    def test_session_stats_prove_zero_pickled_results(self):
-        """Acceptance: process sweeps pickle zero kernel outputs and stay
-        byte-identical to serial, asserted through the session stats."""
-        spec = RunSpec(name="zero-copy", sources=("laplace", "normal"),
-                       batch=4200, n=8,
-                       points=(PrecisionPoint(12), PrecisionPoint(16, 28, True)))
-        with EmulationSession(workers=2, backend="process") as proc:
-            parallel = proc.sweep(spec)
-            stats = proc.stats
-        serial = EmulationSession().sweep(spec)
-        assert serial.points == parallel.points
-        assert stats.results_pickled == 0
-        assert stats.shm_bytes_rx > 0, "result blocks should flow through shm"
-        assert stats.shm_bytes_tx > 0, "operand planes should flow through shm"
-        assert stats.shm_bytes == stats.shm_bytes_tx + stats.shm_bytes_rx
-
-
 # -- design sweeps ---------------------------------------------------------------
 
 class TestDesignProcessSweep:
     def test_process_sweep_matches_serial(self):
+        """A 2-worker pooled design sweep equals the serial one."""
         from repro.api import DesignSession, DesignSweepSpec
 
         accuracy = RunSpec(name="quick", sources=("laplace",), batch=300)
@@ -389,9 +233,9 @@ class TestDesignProcessSweep:
                                     tiles=("small",), samples=16)
         with DesignSession(accuracy=accuracy) as ds:
             want = ds.sweep(spec)
-        with DesignSession(workers=2, backend="process", accuracy=accuracy) as ds:
+        with DesignSession(workers=2, backend="thread", accuracy=accuracy) as ds:
             got = ds.sweep(spec)
-            assert ds.stats.backend == "process"
+            assert ds.stats.backend == "thread"
             assert ds.stats.tasks_dispatched == len(spec.points())
         assert want == got
 
@@ -409,11 +253,16 @@ class TestRunnerBackend:
         spec.to_json(path)
         assert main(["--spec", str(path)]) == 0
         serial_out = capsys.readouterr().out.splitlines()
-        assert main(["--spec", str(path), "--backend", "process",
+        assert main(["--spec", str(path), "--backend", "thread",
                      "--workers", "2"]) == 0
-        process_out = capsys.readouterr().out.splitlines()
+        thread_out = capsys.readouterr().out.splitlines()
         strip = lambda lines: [l for l in lines if not l.startswith("[spec ")]
-        assert strip(serial_out) == strip(process_out)
+        assert strip(serial_out) == strip(thread_out)
+        # the removed process backend is an argparse error naming the choices
+        with pytest.raises(SystemExit) as exc:
+            main(["--spec", str(path), "--backend", "process"])
+        assert exc.value.code == 2
+        assert "'thread'" in capsys.readouterr().err
 
     def test_spec_executor_field_applies(self, tmp_path, capsys):
         from repro.experiments.runner import main

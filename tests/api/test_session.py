@@ -139,7 +139,7 @@ class TestKernels:
 
 
 class TestParallel:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["thread"])
     @pytest.mark.parametrize("workers", [2, 3])
     def test_parallel_bit_exact(self, workers, backend):
         a, b = operands(batch=6000, n=8, seed=3)
@@ -154,7 +154,7 @@ class TestParallel:
         for s_res, p_res in zip(serial, parallel):
             assert_results_equal(s_res, p_res)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["thread"])
     def test_parallel_broadcast_weight_row(self, backend):
         """A single weight plan row broadcast against a parallel batch."""
         a, b = operands(batch=5000, n=8, seed=4)

@@ -1,9 +1,9 @@
 """The tentpole invariant: random FaultPlans never change a byte.
 
-Property tests drive real recovery machinery — process-pool rebuilds,
-store quarantine, client retries, coordinator redispatch and local
-fallback — under seeded random fault schedules, and assert the outputs
-are identical to a fault-free run every time.
+Property tests drive real recovery machinery — store quarantine, client
+retries, coordinator redispatch and local fallback — under seeded random
+fault schedules, and assert the outputs are identical to a fault-free run
+every time.
 """
 
 import json
@@ -18,7 +18,7 @@ from repro.search import RungSpec, SearchSession, SearchSpace, SearchSpec
 from repro.service import ServiceServer, SweepService
 from repro.store import ResultStore
 
-# Big enough to engage the process pool (rows >= MIN_PARALLEL_ROWS) while
+# Big enough to engage the thread pool (rows >= MIN_PARALLEL_ROWS) while
 # staying a sub-second sweep: 2 sources x 1 block x 2 dispatched spans.
 SPEC = RunSpec.grid(name="chaos-recovery", precisions=(8, 16),
                     accumulators=("fp32",), sources=("laplace", "normal"),
@@ -36,11 +36,10 @@ def reference_points():
 
 
 def _random_local_plan(seed: int) -> FaultPlan:
-    """Crashes and corruption at random schedule positions (a local run has
-    4 executor.chunk calls and 4 store.put calls), plus timing noise."""
+    """Corruption at random schedule positions (a local run has 4
+    store.put calls), plus timing noise."""
     rng = random.Random(seed)
     faults = [
-        f"worker-crash@chunk:{rng.randrange(4)}",
         f"store-corrupt@put:{rng.randrange(4)}",
         {"kind": "slow-response", "p": 0.3, "delay": 0.0},
     ]
@@ -55,15 +54,13 @@ class TestLocalRecoveryProperty:
                                                 reference_points):
         plan = _random_local_plan(seed)
         store = ResultStore(tmp_path / "store")
-        with EmulationSession(backend="process", workers=2,
+        with EmulationSession(backend="thread", workers=2,
                               store=store) as session:
             with install(plan) as engine:
                 chaotic = session.sweep(SPEC)
             injected = engine.stats()["injected"]
-            assert injected.get("worker-crash", 0) >= 1
             assert injected.get("store-corrupt", 0) >= 1
-            assert session.stats.worker_restarts >= 1
-            assert session.stats.chunks_redispatched >= 1
+            assert session.stats.tasks_dispatched >= 2  # the pool engaged
         assert chaotic.points == reference_points
 
         # the corruption was never served; verify finds and quarantines it,

@@ -104,7 +104,7 @@ class TestJsonStatsFooter:
         stats = doc["stats"]
         assert stats["kernel_rows"] > 0
         for key in ("plan_hits", "plan_misses", "tasks_dispatched",
-                    "worker_restarts", "chunks_redispatched", "backend"):
+                    "workers", "backend"):
             assert key in stats
 
     def test_design_spec_json_carries_session_stats(self, tmp_path, capsys):

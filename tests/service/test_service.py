@@ -102,6 +102,12 @@ class TestHTTPRoundTrips:
             client.submit({"batch": -3}, kind="sweep")
         assert err.value.status == 400
         assert "invalid sweep spec" in str(err.value)
+        # a removed backend name is a validation error too, never a 5xx
+        with pytest.raises(ServiceError) as err:
+            client.submit({**SPEC.to_dict(), "executor": "process"}, kind="sweep")
+        assert err.value.status == 400
+        assert "'thread'" in str(err.value)
+        assert client.health()["ok"] is True
 
     def test_failing_job_reports_error_status(self, client):
         # an empty grid parses but fails at run time -> job status "error"
