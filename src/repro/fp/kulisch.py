@@ -3,9 +3,8 @@
 The related-work section cites Kulisch accumulation (Johnson 2018) as the
 "no alignment error at all" design point: a fixed-point register wide enough
 to hold any product of the source format exactly, so inner products
-accumulate with zero rounding until the final reformat. We implement it both
-as the golden reference for FP-IP error analysis and as a comparison design
-in the ablation benchmarks.
+accumulate with zero rounding until the final reformat. We implement it as
+the golden reference for FP-IP error analysis.
 """
 
 from __future__ import annotations

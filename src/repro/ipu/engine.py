@@ -266,7 +266,6 @@ def fp_ip_points(
     points: list[KernelPoint],
     chunk_rows: int | None = None,
     work_dtype=None,
-    out: list[tuple[np.ndarray, ...]] | None = None,
 ) -> list[FPIPBatchResult]:
     """Run every kernel point against one operand pair, chunk by chunk.
 
@@ -274,11 +273,6 @@ def fp_ip_points(
     single weight plan row against a batch of activation plans, say); the
     results carry the broadcast leading shape. ``work_dtype`` overrides the
     int32/int64 selection (testing hook).
-
-    ``out``, when given, is one 5-tuple of preallocated flat arrays per
-    point — ``(values, rounded, max_exp, alignment_cycles, total_cycles)``,
-    each of length ``rows`` — and the kernel writes results directly into
-    them (the returned results are views).
     """
     if pa.fmt.name != pb.fmt.name:
         raise ValueError(f"operand formats differ: {pa.fmt.name} vs {pb.fmt.name}")
@@ -298,26 +292,10 @@ def fp_ip_points(
     b_sign, b_exp, b_nib = _broadcast_plan(pb, shape)
     a_planes, b_planes = np.moveaxis(a_nib, -1, 0), np.moveaxis(b_nib, -1, 0)
 
-    if out is None:
-        values = [np.empty(rows) for _ in resolved]
-        rounded = [np.empty(rows, np_float_dtype(r.point.acc_fmt)) for r in resolved]
-        max_exps = [np.empty(rows, np.int64) for _ in resolved]
-        aligns = [np.empty(rows, np.int64) for _ in resolved]
-        totals = None
-    else:
-        if len(out) != len(resolved):
-            raise ValueError(f"out holds {len(out)} slots for {len(resolved)} points")
-        for slot, r in zip(out, resolved):
-            if len(slot) != 5 or any(a.shape != (rows,) for a in slot):
-                raise ValueError("each out slot must be 5 flat arrays of length rows")
-            if slot[1].dtype != np_float_dtype(r.point.acc_fmt):
-                raise ValueError(
-                    f"out rounded dtype {slot[1].dtype} != {np_float_dtype(r.point.acc_fmt)}")
-        values = [slot[0] for slot in out]
-        rounded = [slot[1] for slot in out]
-        max_exps = [slot[2] for slot in out]
-        aligns = [slot[3] for slot in out]
-        totals = [slot[4] for slot in out]
+    values = [np.empty(rows) for _ in resolved]
+    rounded = [np.empty(rows, np_float_dtype(r.point.acc_fmt)) for r in resolved]
+    max_exps = [np.empty(rows, np.int64) for _ in resolved]
+    aligns = [np.empty(rows, np.int64) for _ in resolved]
 
     dim0 = shape[0]
     inner = rows // dim0 if dim0 else 0
@@ -379,8 +357,6 @@ def fp_ip_points(
             rounded[idx][r0:r1] = vals.astype(rounded[idx].dtype)
             max_exps[idx][r0:r1] = max_exp
             aligns[idx][r0:r1] = n_align
-            if totals is not None:
-                totals[idx][r0:r1] = n_align * (k_total * k_total)
 
     iterations = k_total * k_total
     return [
@@ -389,8 +365,7 @@ def fp_ip_points(
             rounded=rounded[i].reshape(lead),
             max_exp=max_exps[i].reshape(lead),
             alignment_cycles=aligns[i].reshape(lead),
-            total_cycles=(totals[i] if totals is not None
-                          else aligns[i] * iterations).reshape(lead),
+            total_cycles=(aligns[i] * iterations).reshape(lead),
         )
         for i in range(len(resolved))
     ]

@@ -68,15 +68,6 @@ def theorem1_bound(i: int, j: int, precision: int, max_exp: int, n: int) -> floa
     return 225.0 * 2.0 ** (4 * (i + j) - 22) * 2.0 ** (max_exp - precision) * (n - 1)
 
 
-def theorem1_total_bound(precision: int, max_exp: int, n: int, k_total: int = 3) -> float:
-    """Sum of the per-iteration bounds over all ``k_total**2`` nibble passes."""
-    return sum(
-        theorem1_bound(i, j, precision, max_exp, n)
-        for i in range(k_total)
-        for j in range(k_total)
-    )
-
-
 def required_iterations_fp16() -> int:
     """FP16 x FP16 always takes 9 nibble iterations on the INT4-based IPU."""
     return 9

@@ -296,9 +296,6 @@ class Tracer:
         with self._lock:
             return list(self._spans)
 
-    def spans_named(self, name: str) -> list:
-        return [s for s in self.export() if s["name"] == name]
-
     def clear(self) -> None:
         with self._lock:
             self._spans.clear()

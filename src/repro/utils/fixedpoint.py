@@ -83,9 +83,6 @@ class FixedPoint:
             return FixedPoint(self.significand << (self.scale - new_scale), new_scale)
         return FixedPoint(floor_div_pow2(self.significand, new_scale - self.scale), new_scale)
 
-    def abs_error_vs(self, other: "FixedPoint") -> float:
-        return abs((self - other).to_float())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FixedPoint):
             return NotImplemented

@@ -3,10 +3,9 @@
 Each file under ``golden/`` is one figure or table rendered at a reduced
 size. fig7, table1, fig8a, fig8b and fig10 were rendered by the
 pre-DesignSession implementations (direct ``tile_cost``/``simulate_network``/
-``design_efficiency`` calls); fig3, fig9, accuracy and the two ablation
-tables were rendered at the sizes the retired pytest-benchmark harness
-printed them. A render must match its golden byte for byte: caching, the
-execution backend and the engine's fast paths never change a number.
+``design_efficiency`` calls). A render must match its golden byte for byte:
+caching, the execution backend and the engine's fast paths never change a
+number.
 """
 
 from pathlib import Path

@@ -1,4 +1,4 @@
-"""Fused-vs-unfused bit identity (against the seed kernel), buffers, and out=."""
+"""Fused-vs-unfused bit identity (against the seed kernel) and buffers."""
 
 import numpy as np
 import pytest
@@ -120,37 +120,3 @@ class TestWorkBufferReuse:
         for f, r, w in zip(fwd, reversed(rev), widths):
             assert_results_equal(f, r, w)
 
-
-class TestOutParameter:
-    def test_out_views_are_written_and_returned(self):
-        pa, pb = packed_pair(seed=43, shape=(200, 16))
-        points = [KernelPoint(16), KernelPoint(12, 28, multi_cycle=True)]
-        want = fp_ip_points(pa, pb, points)
-        rows = 200
-        out = [
-            (np.empty(rows), np.empty(rows, r.rounded.dtype),
-             np.empty(rows, np.int64), np.empty(rows, np.int64),
-             np.empty(rows, np.int64))
-            for r in want
-        ]
-        got = fp_ip_points(pa, pb, points, out=out)
-        for g, w, slot in zip(got, want, out):
-            assert_results_equal(g, w)
-            # the results are views over the caller's buffers, not copies
-            assert np.shares_memory(g.values, slot[0])
-            assert np.array_equal(slot[0], w.values)
-            assert np.array_equal(slot[4], w.total_cycles)
-
-    def test_out_validation(self):
-        pa, pb = packed_pair(seed=47, shape=(10, 8))
-        points = [KernelPoint(16)]
-        with pytest.raises(ValueError, match="slots"):
-            fp_ip_points(pa, pb, points, out=[])
-        bad_len = [(np.empty(10),) * 4]
-        with pytest.raises(ValueError, match="5 flat arrays"):
-            fp_ip_points(pa, pb, points, out=bad_len)
-        bad_dtype = [(np.empty(10), np.empty(10, np.float16),
-                      np.empty(10, np.int64), np.empty(10, np.int64),
-                      np.empty(10, np.int64))]
-        with pytest.raises(ValueError, match="rounded dtype"):
-            fp_ip_points(pa, pb, points, out=bad_dtype)
