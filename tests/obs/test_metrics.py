@@ -2,6 +2,7 @@
 
 import gc
 import re
+from pathlib import Path
 
 import pytest
 
@@ -207,3 +208,91 @@ class TestGlobalRegistryIntegration:
         text = REGISTRY.render()
         assert "repro_store_hits_total" in text
         assert "repro_store_puts_total" in text
+
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "specs"
+
+
+def exposition_schema(text: str) -> set:
+    """``(family name, TYPE, sorted label keys)`` for every sample line."""
+    schema, family = set(), None
+    for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            family = tuple(line.split()[2:4])
+        elif line and not line.startswith("#"):
+            body = line.partition("{")[2].rpartition("}")[0]
+            keys = tuple(sorted(re.findall(
+                r'(?:^|,)([a-zA-Z_][a-zA-Z0-9_]*)="(?:[^"\\]|\\.)*"', body)))
+            schema.add((*family, keys))
+    return schema
+
+
+def scrape_every_layer(tmp_path) -> str:
+    """One in-process run crossing every registered layer: a stored
+    service, a fleet over it replaying fig3_quick, a search on the
+    service's design session, all under the chaos_quick fault plan.
+    Returns the registry's render, scraped while everything is alive."""
+    from repro.chaos import FaultPlan, install
+    from repro.fleet import FleetCoordinator
+    from repro.search import SearchSession, SearchSpec
+    from repro.service import SweepService
+
+    service = SweepService(store=tmp_path / "store")
+    try:
+        with install(FaultPlan.load(EXAMPLES / "chaos_quick.json")) as engine:
+            fleet = FleetCoordinator([service])
+            fleet.run(EXAMPLES / "fig3_quick.json")
+            search = SearchSession(design=service.design, store=service.store)
+            search.run(SearchSpec.from_json(EXAMPLES / "search_quick.json"))
+            assert engine.stats()["injected"] == {"store-corrupt": 1}
+            return REGISTRY.render()
+    finally:
+        service.close()
+
+
+EXPOSITION_SCHEMA = {
+    ("repro_chaos_hook_calls_total", "counter", ("instance", "site")),
+    ("repro_chaos_injected_total", "counter", ("instance", "kind")),
+    ("repro_design_hits_total", "counter", ("instance", "key")),
+    ("repro_design_info", "gauge", ("backend", "instance")),
+    ("repro_design_misses_total", "counter", ("instance", "key")),
+    ("repro_design_tasks_dispatched_total", "counter", ("instance",)),
+    ("repro_design_workers", "gauge", ("instance",)),
+    ("repro_fleet", "counter", ("counter", "instance")),
+    ("repro_fleet_breaker_state", "gauge", ("endpoint", "instance")),
+    ("repro_fleet_endpoint_jobs", "counter", ("endpoint", "instance")),
+    ("repro_search_cached_total", "counter", ("instance",)),
+    ("repro_search_computed_total", "counter", ("instance",)),
+    ("repro_search_evaluated_total", "counter", ("instance",)),
+    ("repro_search_rungs_resumed_total", "counter", ("instance",)),
+    ("repro_search_rungs_total", "counter", ("instance",)),
+    ("repro_service_coalesced_total", "counter", ("instance",)),
+    ("repro_service_job_seconds", "histogram", ("instance",)),
+    ("repro_service_job_seconds", "histogram", ("instance", "le")),
+    ("repro_service_jobs", "gauge", ("instance", "status")),
+    ("repro_service_jobs_completed_total", "counter", ("instance",)),
+    ("repro_service_queue_depth", "gauge", ("instance",)),
+    ("repro_service_rejected_busy_total", "counter", ("instance",)),
+    ("repro_service_uptime_seconds", "gauge", ("instance",)),
+    ("repro_session_info", "gauge", ("backend", "instance")),
+    ("repro_session_kernel_rows_total", "counter", ("instance",)),
+    ("repro_session_parallel_batches_total", "counter", ("instance",)),
+    ("repro_session_plan_hits_total", "counter", ("instance",)),
+    ("repro_session_plan_misses_total", "counter", ("instance",)),
+    ("repro_session_tasks_dispatched_total", "counter", ("instance",)),
+    ("repro_session_workers", "gauge", ("instance",)),
+    ("repro_store_bytes", "gauge", ("instance",)),
+    ("repro_store_evictions_total", "counter", ("instance",)),
+    ("repro_store_hits_total", "counter", ("instance",)),
+    ("repro_store_index_rebuilds_total", "counter", ("instance",)),
+    ("repro_store_misses_total", "counter", ("instance",)),
+    ("repro_store_puts_total", "counter", ("instance",)),
+    ("repro_store_quarantined_total", "counter", ("instance",)),
+}
+
+
+class TestExpositionSchema:
+    def test_family_names_types_and_label_keys_are_pinned(self, tmp_path):
+        text = scrape_every_layer(tmp_path)
+        assert_valid_exposition(text)
+        assert exposition_schema(text) == EXPOSITION_SCHEMA
