@@ -26,12 +26,13 @@ error metrics next to TOPS/mm² and TOPS/W — for any registry design string.
 
 from __future__ import annotations
 
+import copy
 import math
 import re
 import threading
 from concurrent.futures import Future
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from repro.hw.efficiency import (
 from repro.hw.registry import parse_design, parse_tile
 from repro.hw.tile_cost import TileCost, tile_cost
 from repro.nn.zoo import WORKLOADS
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, counter
 from repro.obs.trace import trace_span
 from repro.store import ResultStore
 from repro.store.fingerprint import fingerprint as _result_key
@@ -59,7 +60,7 @@ from repro.tile.simulator import (
     worst_shift_samples,
 )
 
-from repro.api.executor import EXECUTOR_COUNTERS, ExecutorStats, make_executor
+from repro.api.executor import ExecutorStats, make_executor
 from repro.api.session import (
     EmulationSession,
     sweep_points_from_dicts,
@@ -87,8 +88,8 @@ class DesignSessionStats(ExecutorStats):
     """Per-cache hit/miss counters plus the executor's (which it writes
     here directly)."""
 
-    hits: dict = field(default_factory=dict)
-    misses: dict = field(default_factory=dict)
+    hits: dict = counter(label="key")
+    misses: dict = counter(label="key")
 
     def note(self, kind: str, hit: bool) -> None:
         bucket = self.hits if hit else self.misses
@@ -306,10 +307,14 @@ class DesignSession:
         self._lock = threading.Lock()
         self._closed = False
         REGISTRY.register_object(
-            self, lambda session: session.stats.as_dict(),
-            prefix="repro_design",
-            labels={"instance": REGISTRY.next_instance("design")},
-            counters=EXECUTOR_COUNTERS | {"hits", "misses"})
+            self, prefix="repro_design",
+            labels={"instance": REGISTRY.next_instance("design")})
+
+    def snapshot(self) -> DesignSessionStats:
+        """A copy of :attr:`stats`, taken under the cache lock it counts
+        under (what ``/v1/metrics`` and ``/v1/stats`` read)."""
+        with self._lock:
+            return copy.deepcopy(self.stats)
 
     # -- lifecycle ---------------------------------------------------------
 

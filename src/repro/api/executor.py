@@ -30,10 +30,11 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from repro.obs.metrics import counter
 from repro.obs.trace import trace_attach, trace_capture, trace_span
 from repro.ipu.engine import (
     FPIPBatchResult,
@@ -61,15 +62,7 @@ class ExecutorStats:
 
     backend: str = "serial"
     workers: int = 1
-    tasks_dispatched: int = 0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-# the monotonic ExecutorStats fields (metrics counters; the rest describe)
-EXECUTOR_COUNTERS = frozenset(
-    f.name for f in fields(ExecutorStats)) - {"backend", "workers"}
+    tasks_dispatched: int = counter()
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ Figure-3 protocol, streamed chunk by chunk).
 
 from __future__ import annotations
 
+import copy
 import threading
 import time
 from dataclasses import asdict, dataclass
@@ -42,13 +43,13 @@ from repro.ipu.engine import (
     pack_operands,
 )
 from repro.ipu.reference import cpu_fp32_dot_batch
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, counter
 from repro.obs.trace import trace_span
 from repro.store import ResultStore
 from repro.store.fingerprint import fingerprint as _result_key
 from repro.utils.rng import as_generator
 
-from repro.api.executor import EXECUTOR_COUNTERS, ExecutorStats, _slab, make_executor
+from repro.api.executor import ExecutorStats, _slab, make_executor
 from repro.api.spec import PrecisionPoint, RunSpec
 
 __all__ = ["EmulationSession", "SessionStats"]
@@ -69,16 +70,10 @@ class SessionStats(ExecutorStats):
     the pool engaged (benchmark JSON asserts on them).
     """
 
-    plan_hits: int = 0
-    plan_misses: int = 0
-    kernel_rows: int = 0
-    parallel_batches: int = 0
-
-
-# SessionStats fields that are monotonic counters (the rest are gauges or
-# descriptive strings); shared by the metrics adapter below.
-_SESSION_COUNTERS = EXECUTOR_COUNTERS | {
-    "plan_hits", "plan_misses", "kernel_rows", "parallel_batches"}
+    plan_hits: int = counter()
+    plan_misses: int = counter()
+    kernel_rows: int = counter()
+    parallel_batches: int = counter()
 
 
 def sweep_points_to_dicts(points) -> list[dict]:
@@ -162,9 +157,12 @@ class EmulationSession:
         self._weight_lock = threading.Lock()  # callers may share one session
         self._closed = False
         REGISTRY.register_object(
-            self, lambda session: session.stats.as_dict(), prefix="repro_session",
-            labels={"instance": REGISTRY.next_instance("emulation")},
-            counters=_SESSION_COUNTERS)
+            self, prefix="repro_session",
+            labels={"instance": REGISTRY.next_instance("emulation")})
+
+    def snapshot(self) -> SessionStats:
+        """A copy of :attr:`stats` (what ``/v1/metrics`` scrapes)."""
+        return copy.deepcopy(self.stats)
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -28,15 +28,28 @@ byte-affecting) everywhere.
 from __future__ import annotations
 
 import contextlib
+import copy
 import random
 import threading
 import time
+from dataclasses import dataclass
 from typing import Any, Iterator
+
+from repro.obs.metrics import REGISTRY, counter
 
 from .errors import InjectedFault
 from .plan import Fault, FaultPlan
 
-__all__ = ["ChaosEngine", "arm", "disarm", "current_engine", "install", "chaos_hook"]
+__all__ = ["ChaosEngine", "ChaosStats", "arm", "disarm", "current_engine",
+           "install", "chaos_hook"]
+
+
+@dataclass
+class ChaosStats:
+    """An engine's counters (``stats()`` and ``/v1/metrics`` read these)."""
+
+    hook_calls: dict = counter("Chaos hook evaluations by site.", label="site")
+    injected: dict = counter("Faults injected by kind.", label="kind")
 
 
 class ChaosEngine:
@@ -47,8 +60,7 @@ class ChaosEngine:
         self.plan = plan
         self._lock = threading.Lock()
         self._rng = random.Random(plan.seed)
-        self._calls: dict[str, int] = {}
-        self._injected: dict[str, int] = {}
+        self._counts = ChaosStats()
         self._fired: dict[int, int] = {}  # fault index -> times fired
 
     # -- matching --------------------------------------------------------------
@@ -74,13 +86,15 @@ class ChaosEngine:
         directive: dict | None = None
         raise_fault: Fault | None = None
         with self._lock:
-            counter = self._calls.get(site, 0)
-            self._calls[site] = counter + 1
+            calls = self._counts.hook_calls
+            counter = calls.get(site, 0)
+            calls[site] = counter + 1
             for index, fault in enumerate(self.plan.faults):
                 if not self._matches(index, fault, site, counter, ctx):
                     continue
                 self._fired[index] = self._fired.get(index, 0) + 1
-                self._injected[fault.kind] = self._injected.get(fault.kind, 0) + 1
+                injected = self._counts.injected
+                injected[fault.kind] = injected.get(fault.kind, 0) + 1
                 if fault.kind == "slow-response":
                     sleep_for = max(sleep_for, fault.delay)
                 elif fault.kind == "store-corrupt":
@@ -94,14 +108,19 @@ class ChaosEngine:
             raise InjectedFault(raise_fault.kind, site, detail)
         return directive
 
-    def stats(self) -> dict[str, Any]:
+    def snapshot(self) -> ChaosStats:
+        """A copy of the engine's counters, taken under its lock."""
         with self._lock:
-            return {
-                "seed": self.plan.seed,
-                "faults": [str(f) for f in self.plan.faults],
-                "calls": dict(sorted(self._calls.items())),
-                "injected": dict(sorted(self._injected.items())),
-            }
+            return copy.deepcopy(self._counts)
+
+    def stats(self) -> dict[str, Any]:
+        counts = self.snapshot()
+        return {
+            "seed": self.plan.seed,
+            "faults": [str(f) for f in self.plan.faults],
+            "calls": dict(sorted(counts.hook_calls.items())),
+            "injected": dict(sorted(counts.injected.items())),
+        }
 
 
 # -- global arming -------------------------------------------------------------
@@ -111,19 +130,25 @@ _ARM_LOCK = threading.Lock()
 
 
 def arm(engine: ChaosEngine) -> ChaosEngine:
-    """Arm ``engine`` process-wide. Only one engine may be armed at a time."""
+    """Arm ``engine`` process-wide. Only one engine may be armed at a time;
+    while armed it is scraped by ``/v1/metrics`` (once per process)."""
     global _ARMED
     with _ARM_LOCK:
         if _ARMED is not None:
             raise RuntimeError("a chaos engine is already armed; disarm() it first")
         _ARMED = engine
+    REGISTRY.register_object(
+        engine, prefix="repro_chaos",
+        labels={"instance": REGISTRY.next_instance("chaos")})
     return engine
 
 
 def disarm() -> None:
     global _ARMED
     with _ARM_LOCK:
-        _ARMED = None
+        engine, _ARMED = _ARMED, None
+    if engine is not None:
+        REGISTRY.unregister(engine)
 
 
 def current_engine() -> ChaosEngine | None:

@@ -45,6 +45,7 @@ import contextlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 __all__ = ["EXPERIMENTS", "MODES", "main"]
@@ -162,7 +163,7 @@ def _replay(args) -> Result:
     with open_session(backend=executor, store=args.store) as session:
         output = render(session.sweep(spec), title=spec.name)
     return Result(output, "spec", path,
-                  {"spec": path, "stats": session.stats.as_dict()})
+                  {"spec": path, "stats": asdict(session.stats)})
 
 
 def _fleet_coordinator(args):
@@ -226,7 +227,7 @@ def _search(args) -> Result:
             result = session.run(spec)
     except (FleetError, ServiceError) as exc:
         raise _Fail(f"fleet error: {exc}")
-    stats = session.stats.to_dict()
+    stats = asdict(session.stats)
     return Result(render_search(result), "search",
                   f"{args.search} rungs={stats['rungs_total']} resumed="
                   f"{stats['rungs_resumed']} evaluated={stats['evaluated']} "

@@ -32,9 +32,11 @@ every endpoint would fail the same way, so it fails the sweep fast with
 
 from __future__ import annotations
 
+import copy
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass
 
 from repro.api.spec import spec_from_kind, spec_kind_of
 from repro.chaos.breaker import CLOSED, CircuitBreaker
@@ -42,7 +44,7 @@ from repro.chaos.engine import chaos_hook
 from repro.chaos.errors import InjectedFault
 from repro.chaos.retry import RetryPolicy
 from repro.fleet.shard import ShardPlan
-from repro.obs.metrics import REGISTRY, Family
+from repro.obs.metrics import REGISTRY, Family, counter
 from repro.obs.trace import (trace_attach, trace_capture, trace_ingest,
                              trace_span, trace_wire)
 from repro.service.client import ServiceClient, ServiceError, _as_spec_dict
@@ -126,27 +128,22 @@ def _as_endpoint(endpoint, token: str | None):
     raise TypeError(f"cannot use {type(endpoint).__name__} as a fleet endpoint")
 
 
-def _collect_fleet_metrics(coordinator) -> list:
-    """Metrics-registry adapter: shard/retry counters plus one breaker-state
-    gauge per endpoint (0 closed, 1 half-open, 2 open), so a scrape sees
-    breaker flips and retry storms without parsing ``stats()``."""
-    base = dict(coordinator._metrics_labels)
-    with coordinator._lock:
-        counters = Family("repro_fleet", "counter", "Fleet coordinator counters.")
-        for name in ("shards_completed", "shards_skipped_warm", "shards_local",
-                     "retries", "redispatches", "rejoins"):
-            counters.add(getattr(coordinator, f"_{name}"),
-                         {**base, "counter": name}, suffix="_total")
-        jobs = Family("repro_fleet_endpoint_jobs", "counter",
-                      "Jobs completed per endpoint.")
-        state = Family("repro_fleet_breaker_state", "gauge",
-                       "Endpoint breaker state (0 closed, 1 half-open, 2 open).")
-        order = {"closed": 0, "half-open": 1, "open": 2}
-        for i, ep in enumerate(coordinator.endpoints):
-            labels = {**base, "endpoint": ep.url}
-            jobs.add(coordinator._jobs_by_endpoint[i], labels, suffix="_total")
-            state.add(order.get(coordinator._breakers[i].state, 2), labels)
-    return [counters, jobs, state]
+@dataclass
+class FleetStats:
+    """The coordinator's counters (``stats()`` and ``/v1/metrics`` read
+    these)."""
+
+    shards_completed: int = counter("Shards completed, on endpoints or locally.")
+    shards_skipped_warm: int = counter("Shards served from the coordinator store.")
+    shards_local: int = counter("Shards run on the local fallback service.")
+    retries: int = counter("Transport failures retried.")
+    redispatches: int = counter("Shards completed off their preferred endpoint.")
+    rejoins: int = counter("Open breakers closed by a health probe.")
+    endpoint_jobs: dict = counter("Jobs completed per endpoint.", label="endpoint")
+
+
+# breaker state -> the repro_fleet_breaker_state gauge value
+_BREAKER_LEVEL = {"closed": 0, "half-open": 1, "open": 2}
 
 
 def _is_deterministic(exc: ServiceError) -> bool:
@@ -210,17 +207,17 @@ class FleetCoordinator:
         self._breakers = [CircuitBreaker(cooldown=breaker_cooldown)
                           for _ in self.endpoints]
         self._local_service = None
-        self._jobs_by_endpoint = [0] * len(self.endpoints)
-        self._retries = 0
-        self._redispatches = 0
-        self._rejoins = 0
         self._stragglers: list[dict] = []
-        self._shards_completed = 0
-        self._shards_skipped_warm = 0
-        self._shards_local = 0
-        self._metrics_labels = {"instance": REGISTRY.next_instance("fleet")}
-        REGISTRY.register_object(self, _collect_fleet_metrics,
-                                 prefix="repro_fleet")
+        # per-endpoint counter keys and metric labels must be unique, and
+        # two default LocalEndpoints share one url: suffix "#<index>" there
+        urls = [ep.url for ep in self.endpoints]
+        self._endpoint_keys = [u if urls.count(u) == 1 else f"{u}#{i}"
+                               for i, u in enumerate(urls)]
+        self._counts = FleetStats(
+            endpoint_jobs=dict.fromkeys(self._endpoint_keys, 0))
+        REGISTRY.register_object(
+            self, prefix="repro_fleet",
+            labels={"instance": REGISTRY.next_instance("fleet")})
 
     # -- dispatch ----------------------------------------------------------
 
@@ -304,7 +301,7 @@ class FleetCoordinator:
                                           self._payload_key(kind, spec))
             if payload is not None:
                 with self._lock:
-                    self._shards_skipped_warm += 1
+                    self._counts.shards_skipped_warm += 1
                 return payload
         payload = self._run_shard(kind, index, spec, timeout=timeout)
         spans = payload.pop("trace_spans", None)
@@ -334,7 +331,7 @@ class FleetCoordinator:
             return False
         breaker.record_success()
         with self._lock:
-            self._rejoins += 1
+            self._counts.rejoins += 1
         return True
 
     def _live_rotation(self, start: int):
@@ -376,10 +373,10 @@ class FleetCoordinator:
                     self._note_failure(ep_idx)
                     continue  # try the next live endpoint, no backoff
                 with self._lock:
-                    self._jobs_by_endpoint[ep_idx] += 1
-                    self._shards_completed += 1
+                    self._counts.endpoint_jobs[self._endpoint_keys[ep_idx]] += 1
+                    self._counts.shards_completed += 1
                     if ep_idx != preferred:  # landed on a survivor
-                        self._redispatches += 1
+                        self._counts.redispatches += 1
                 return payload
             delay = next(delays, None)
             if delay is None:
@@ -403,7 +400,7 @@ class FleetCoordinator:
         if not alive:
             self._breakers[ep_idx].record_failure()
         with self._lock:
-            self._retries += 1
+            self._counts.retries += 1
 
     # -- graceful degradation ----------------------------------------------
 
@@ -426,8 +423,8 @@ class FleetCoordinator:
             ticket = endpoint.submit(spec, kind=kind)
             payload = endpoint.result(ticket["job"], timeout=timeout)
         with self._lock:
-            self._shards_local += 1
-            self._shards_completed += 1
+            self._counts.shards_local += 1
+            self._counts.shards_completed += 1
         return payload
 
     def close(self) -> None:
@@ -454,19 +451,31 @@ class FleetCoordinator:
 
     # -- observability -----------------------------------------------------
 
+    def snapshot(self) -> FleetStats:
+        """A copy of the fleet counters, taken under the coordinator lock."""
+        with self._lock:
+            return copy.deepcopy(self._counts)
+
+    def live_families(self, labels: dict) -> list:
+        """One breaker-state gauge per endpoint, so a scrape sees breaker
+        flips without parsing :meth:`stats`."""
+        state = Family("repro_fleet_breaker_state", "gauge",
+                       "Endpoint breaker state (0 closed, 1 half-open, 2 open).")
+        for key, breaker in zip(self._endpoint_keys, self._breakers):
+            state.add(_BREAKER_LEVEL.get(breaker.state, 2),
+                      {**labels, "endpoint": key})
+        return [state]
+
     def stats(self) -> dict:
         with self._lock:
+            counts = asdict(self._counts)
+            jobs = counts.pop("endpoint_jobs")
             return {
                 "endpoints": [
-                    {"url": ep.url, "jobs": self._jobs_by_endpoint[i],
-                     "state": self._breakers[i].state,
-                     "dead": self._breakers[i].state != CLOSED}
-                    for i, ep in enumerate(self.endpoints)],
-                "shards_completed": self._shards_completed,
-                "shards_skipped_warm": self._shards_skipped_warm,
-                "shards_local": self._shards_local,
-                "retries": self._retries,
-                "redispatches": self._redispatches,
-                "rejoins": self._rejoins,
+                    {"url": ep.url, "jobs": jobs[key], "state": breaker.state,
+                     "dead": breaker.state != CLOSED}
+                    for ep, key, breaker in zip(
+                        self.endpoints, self._endpoint_keys, self._breakers)],
+                **counts,
                 "stragglers": list(self._stragglers),
             }

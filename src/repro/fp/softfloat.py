@@ -10,15 +10,7 @@ from __future__ import annotations
 
 from repro.fp.formats import Decoded, FPClass, FPFormat
 
-__all__ = ["fp_mul", "fp_add", "fp_fma", "decode_exact", "is_nan", "is_inf"]
-
-
-def is_nan(fmt: FPFormat, bits: int) -> bool:
-    return fmt.decode(bits).fpclass is FPClass.NAN
-
-
-def is_inf(fmt: FPFormat, bits: int) -> bool:
-    return fmt.decode(bits).fpclass is FPClass.INF
+__all__ = ["fp_mul", "fp_add", "fp_fma", "decode_exact"]
 
 
 def decode_exact(fmt: FPFormat, bits: int) -> tuple[int, int]:

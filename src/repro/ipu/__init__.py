@@ -13,7 +13,6 @@ from repro.ipu.engine import (
 from repro.ipu.ipu import SOFTWARE_PRECISION, FPIPResult, InnerProductUnit, IPUConfig
 from repro.ipu.mc_ipu import (
     BASELINE_ADDER_WIDTH,
-    alignment_cycles_batch,
     make_baseline_ipu,
     make_mc_ipu,
 )
@@ -31,7 +30,7 @@ __all__ = [
     "AdderTree", "LocalShifter", "SignedMultiplier5x5",
     "AlignmentPlan", "ExponentHandlingUnit", "mc_cycle_counts", "serve_cycles",
     "SOFTWARE_PRECISION", "FPIPResult", "InnerProductUnit", "IPUConfig",
-    "BASELINE_ADDER_WIDTH", "alignment_cycles_batch", "make_baseline_ipu", "make_mc_ipu",
+    "BASELINE_ADDER_WIDTH", "make_baseline_ipu", "make_mc_ipu",
     "cpu_fp32_dot", "cpu_fp32_dot_batch", "exact_fp_ip", "masked_exact_fp_ip",
     "MAX_FP16_PRODUCT_SHIFT", "PRODUCT_MAGNITUDE_BITS",
     "min_adder_width_for_exact", "safe_precision", "theorem1_bound",

@@ -3,20 +3,15 @@
 The MC-IPU shares its datapath with the plain IPU — the difference is purely
 the EHU serve loop, which :class:`repro.ipu.ipu.InnerProductUnit` already
 engages whenever ``adder_width < software_precision``. This module provides
-the named constructors used throughout the experiments plus the batch
-cycle-count kernels the tile simulator builds on.
+the named constructors used throughout the experiments.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from repro.fp.formats import FP32, FPFormat
+from repro.ipu.ipu import InnerProductUnit, IPUConfig
 
-from repro.fp.formats import FP16, FP32, FPFormat
-from repro.ipu.ehu import mc_cycle_counts
-from repro.ipu.ipu import SOFTWARE_PRECISION, InnerProductUnit, IPUConfig
-from repro.ipu.theory import safe_precision
-
-__all__ = ["make_mc_ipu", "make_baseline_ipu", "alignment_cycles_batch", "BASELINE_ADDER_WIDTH"]
+__all__ = ["make_mc_ipu", "make_baseline_ipu", "BASELINE_ADDER_WIDTH"]
 
 # NVDLA-style baseline adder-tree width (paper §4.1: 38-bit wide adder tree).
 BASELINE_ADDER_WIDTH = 38
@@ -39,27 +34,3 @@ def make_baseline_ipu(acc_fmt: FPFormat = FP32, n_inputs: int = 16) -> InnerProd
     """The paper's baseline: 38-bit adder tree, never multi-cycles."""
     return make_mc_ipu(BASELINE_ADDER_WIDTH, acc_fmt, n_inputs)
 
-
-def alignment_cycles_batch(
-    product_exps: np.ndarray,
-    adder_width: int,
-    software_precision: int,
-    n_inputs: int,
-    skip_empty_cycles: bool = False,
-) -> np.ndarray:
-    """Cycles per nibble iteration for a batch of inner products.
-
-    ``product_exps`` has shape ``(B, n_inputs)`` (unbiased product
-    exponents, EHU stage-1 output). This is the kernel the statistical tile
-    simulator evaluates over sampled convolution inner products.
-    """
-    exps = np.asarray(product_exps, dtype=np.int64)
-    if exps.ndim != 2 or exps.shape[1] != n_inputs:
-        raise ValueError(f"expected shape (B, {n_inputs}), got {exps.shape}")
-    max_exp = exps.max(axis=1, keepdims=True)
-    shifts = max_exp - exps
-    masked = shifts >= software_precision
-    return mc_cycle_counts(
-        shifts, masked, safe_precision(adder_width), adder_width,
-        software_precision, skip_empty_cycles=skip_empty_cycles,
-    )

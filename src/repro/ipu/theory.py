@@ -11,7 +11,6 @@ __all__ = [
     "safe_precision",
     "min_adder_width_for_exact",
     "theorem1_bound",
-    "required_iterations_fp16",
     "MAX_FP16_PRODUCT_SHIFT",
     "PRODUCT_MAGNITUDE_BITS",
 ]
@@ -67,7 +66,3 @@ def theorem1_bound(i: int, j: int, precision: int, max_exp: int, n: int) -> floa
         raise ValueError("inner product needs n >= 1")
     return 225.0 * 2.0 ** (4 * (i + j) - 22) * 2.0 ** (max_exp - precision) * (n - 1)
 
-
-def required_iterations_fp16() -> int:
-    """FP16 x FP16 always takes 9 nibble iterations on the INT4-based IPU."""
-    return 9

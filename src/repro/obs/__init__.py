@@ -7,10 +7,10 @@ Two halves, both ~zero-cost when disarmed:
   remote job's spans are merged back on return).  Disarmed, every hook is
   a single module-global load and ``None`` check, mirroring
   ``repro.chaos``.
-* :mod:`repro.obs.metrics` — a pull-based registry (counters, gauges,
-  histograms with fixed buckets) that existing stats objects register into
-  via weakref adapters; rendered as Prometheus text exposition by
-  ``GET /v1/metrics`` on the sweep service.
+* :mod:`repro.obs.metrics` — a pull-based registry that reads each
+  layer's stats dataclass (every counter declared once, as a field)
+  through a weakref to its owner; rendered as Prometheus text exposition
+  by ``GET /v1/metrics`` on the sweep service.
 
 Export surfaces live in :mod:`repro.obs.export`: Chrome trace-event JSON
 (``runner --trace out.json``, loadable in Perfetto) and a per-phase
@@ -33,9 +33,7 @@ from repro.obs.trace import (
 )
 from repro.obs.metrics import (
     REGISTRY,
-    Counter,
     Family,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -55,9 +53,7 @@ __all__ = [
     "trace_span",
     "trace_wire",
     "REGISTRY",
-    "Counter",
     "Family",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "profile_tree",

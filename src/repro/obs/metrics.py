@@ -1,27 +1,29 @@
 """Unified pull-based metrics registry with Prometheus text exposition.
 
-The registry is *pull-based*: nothing on a hot path ever touches it.  The
-existing stats objects (``SessionStats``, ``StoreStats``, service stats,
-fleet stats, chaos stats, ...) keep their public APIs; each owner registers
-a weakref **adapter** — ``collect_fn(obj) -> dict`` — and the registry walks
-the live adapters only when scraped (``GET /v1/metrics`` or
-``REGISTRY.render()``).  Dead weakrefs are pruned on collect, so the many
+Every layer declares its counters once, as fields of its stats dataclass
+(:func:`counter` marks the monotonic ones). The registry is *pull-based*:
+nothing on a hot path ever touches it. Each owner (sessions, store,
+service, fleet, the armed chaos engine) registers itself via a weakref, and
+the registry reads the live owners only when scraped (``GET /v1/metrics``
+or ``REGISTRY.render()``). Dead weakrefs are pruned on collect, so the many
 short-lived sessions created by tests never leak.
 
-Adapter value conventions:
+At scrape the registry calls ``owner.snapshot()`` — a copy of the owner's
+stats dataclass, taken under the lock the owner counts under, if any — and
+renders each field by its declaration:
 
-* numeric value                      -> one sample
-* ``dict[str, number]`` value        -> one sample per entry, keyed by a
-  ``key=...`` label (e.g. per-source hit counts, per-site chaos calls)
-* string value                       -> folded into a ``<prefix>_info`` gauge
+* ``counter()`` field             -> a ``counter`` family, suffixed ``_total``
+* ``counter(label=...)`` field    -> the same, one sample per dict key under
+  that label (e.g. per-site chaos calls)
+* other numeric field             -> a ``gauge`` family
+* string field                    -> folded into a ``<prefix>_info`` gauge
   as a label (Prometheus "info" idiom)
-* names listed in ``counters=``      -> typed ``counter`` and suffixed
-  ``_total``; everything else is a ``gauge``
 
-Direct instruments (:class:`Counter`, :class:`Gauge`, :class:`Histogram`
-with fixed buckets) exist for coarse events with no stats object — e.g. the
-sweep service's per-job wall-time histogram — and are returned from adapters
-as ready-made :class:`Family` rows.
+The few live gauges that are not stored counters (job-status counts, queue
+depth, uptime, breaker state) come from the owner's optional
+``live_families(labels)`` hook as ready-made :class:`Family` rows, as does
+the one direct instrument: the fixed-bucket :class:`Histogram` of the sweep
+service's per-job wall time.
 """
 
 from __future__ import annotations
@@ -29,12 +31,11 @@ from __future__ import annotations
 import itertools
 import threading
 import weakref
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Any, Optional, Sequence
 
 __all__ = [
-    "Counter",
-    "Gauge",
+    "counter",
     "Histogram",
     "Family",
     "MetricsRegistry",
@@ -69,6 +70,18 @@ def _format_labels(labels: dict) -> str:
     return "{" + inner + "}"
 
 
+def counter(help: str = "", *, label: Optional[str] = None):
+    """A stats-dataclass field declaring a monotonic counter (default 0).
+
+    With ``label`` the counter is per key: its value is a ``dict`` and the
+    registry renders one sample per key under that label name.
+    """
+    metadata = {"counter": True, "help": help}
+    if label is None:
+        return field(default=0, metadata=metadata)
+    return field(default_factory=dict, metadata={**metadata, "label": label})
+
+
 @dataclass
 class Family:
     """One metric family: a name, a type, and its labeled samples.
@@ -84,38 +97,6 @@ class Family:
 
     def add(self, value: float, labels: Optional[dict] = None, suffix: str = "") -> None:
         self.samples.append((suffix, dict(labels or {}), value))
-
-
-class Counter:
-    """Monotonic counter (thread-safe)."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value += amount
-
-
-class Gauge:
-    """Last-write-wins gauge (thread-safe)."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value -= amount
 
 
 DEFAULT_BUCKETS = (0.005, 0.025, 0.1, 0.5, 1.0, 2.5, 10.0, 60.0)
@@ -157,7 +138,8 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Holds weakref adapters; builds families only when scraped."""
+    """Holds weakrefs to registered owners; builds families only when
+    scraped."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -167,90 +149,74 @@ class MetricsRegistry:
     def next_instance(self, prefix: str) -> str:
         """A stable ``instance`` label value like ``store-3``."""
         with self._lock:
-            counter = self._instance_counters.setdefault(prefix, itertools.count(1))
-            return f"{prefix}-{next(counter)}"
+            seq = self._instance_counters.setdefault(prefix, itertools.count(1))
+            return f"{prefix}-{next(seq)}"
 
-    def register_object(
-        self,
-        obj: Any,
-        collect_fn: Callable[[Any], Any],
-        *,
-        prefix: str,
-        labels: Optional[dict] = None,
-        counters: Iterable[str] = (),
-        help_text: Optional[dict] = None,
-    ) -> None:
-        """Register ``obj`` via a weakref; ``collect_fn(obj)`` runs at scrape.
+    def register_object(self, owner: Any, *, prefix: str,
+                        labels: Optional[dict] = None) -> None:
+        """Register ``owner`` via a weakref; it is read only when scraped.
 
-        ``collect_fn`` may return a flat dict (converted per the module
-        conventions) or a list of ready-made :class:`Family` rows.
+        The owner provides ``snapshot()``, returning its stats dataclass,
+        and optionally ``live_families(labels)`` (see the module docstring).
         """
-        entry = {
-            "ref": weakref.ref(obj),
-            "fn": collect_fn,
-            "prefix": prefix,
-            "labels": dict(labels or {}),
-            "counters": frozenset(counters),
-            "help": dict(help_text or {}),
-        }
         with self._lock:
             # drop adapters of collected objects, so short-lived owners
             # (per-call sessions) do not pile up between scrapes
-            self._adapters = [e for e in self._adapters if e["ref"]() is not None]
-            self._adapters.append(entry)
+            self._adapters = [e for e in self._adapters if e[0]() is not None]
+            self._adapters.append((weakref.ref(owner), prefix, dict(labels or {})))
 
-    def _families_for(self, entry: dict, obj: Any) -> list:
-        raw = entry["fn"](obj)
-        if isinstance(raw, list):  # pre-built families
-            return raw
-        prefix, labels = entry["prefix"], entry["labels"]
-        counters, helps = entry["counters"], entry["help"]
+    def unregister(self, owner: Any) -> None:
+        """Stop scraping ``owner`` (e.g. a chaos engine once disarmed)."""
+        with self._lock:
+            self._adapters = [e for e in self._adapters if e[0]() is not owner]
+
+    @staticmethod
+    def _families_for(owner: Any, prefix: str, labels: dict) -> list:
+        stats = owner.snapshot()
         families = []
         info_labels: dict = {}
-        for key, value in raw.items():
+        for f in fields(stats):
+            value = getattr(stats, f.name)
             if isinstance(value, str):
-                info_labels[key] = value
+                info_labels[f.name] = value
                 continue
-            if isinstance(value, bool):
-                value = int(value)
-            is_counter = key in counters
-            name = f"{prefix}_{key}"
+            is_counter = f.metadata.get("counter", False)
+            name = f"{prefix}_{f.name}"
             if is_counter and not name.endswith("_total"):
                 name += "_total"
-            fam = Family(
-                name=name,
-                kind="counter" if is_counter else "gauge",
-                help=helps.get(key, ""),
-            )
+            fam = Family(name=name, kind="counter" if is_counter else "gauge",
+                         help=f.metadata.get("help", ""))
             if isinstance(value, dict):
+                key = f.metadata["label"]
                 for sub, subval in value.items():
-                    if isinstance(subval, (int, float)):
-                        fam.add(subval, {**labels, "key": str(sub)})
-            elif isinstance(value, (int, float)):
-                fam.add(value, labels)
+                    fam.add(subval, {**labels, key: str(sub)})
             else:
-                continue
+                fam.add(value, labels)
             families.append(fam)
         if info_labels:
             fam = Family(name=f"{prefix}_info", kind="gauge")
             fam.add(1, {**labels, **info_labels})
             families.append(fam)
+        live = getattr(owner, "live_families", None)
+        if live is not None:
+            families.extend(live(labels))
         return families
 
     def collect(self) -> list:
-        """All families from live adapters, merged by family name."""
+        """All families from live owners, merged by family name."""
         with self._lock:
             adapters = list(self._adapters)
         merged: dict = {}
         dead = []
         for entry in adapters:
-            obj = entry["ref"]()
-            if obj is None:
+            ref, prefix, labels = entry
+            owner = ref()
+            if owner is None:
                 dead.append(entry)
                 continue
             try:
-                families = self._families_for(entry, obj)
-            except Exception:  # a broken adapter must not poison the scrape
+                families = self._families_for(owner, prefix, labels)
+            except Exception:  # a broken owner must not poison the scrape
                 continue
             for fam in families:
                 existing = merged.get(fam.name)
@@ -277,10 +243,6 @@ class MetricsRegistry:
                     f"{fam.name}{suffix}{_format_labels(labels)} {_format_value(value)}"
                 )
         return "\n".join(lines) + "\n"
-
-    def clear(self) -> None:
-        with self._lock:
-            self._adapters.clear()
 
 
 REGISTRY = MetricsRegistry()

@@ -20,6 +20,7 @@ and a ``POST /v1/search`` payload against each other.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from repro.api.design import DesignReport, DesignSession
 from repro.api.spec import DesignSweepSpec
 from repro.chaos.errors import DeadlineExceeded
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, counter
 from repro.obs.trace import trace_span
 from repro.search.halving import RungSpec, SearchSpec, keep_count, select_survivors
 from repro.search.space import Candidate
@@ -156,18 +157,11 @@ def render_search(result: SearchResult) -> str:
 
 @dataclass
 class SearchSessionStats:
-    rungs_total: int = 0
-    rungs_resumed: int = 0
-    evaluated: int = 0  # candidate evaluations attempted (non-resumed rungs)
-    computed: int = 0   # of those, computed fresh
-    cached: int = 0     # of those, served from the store
-
-    def to_dict(self) -> dict:
-        return {"rungs_total": self.rungs_total,
-                "rungs_resumed": self.rungs_resumed,
-                "evaluated": self.evaluated,
-                "computed": self.computed,
-                "cached": self.cached}
+    rungs_total: int = counter()
+    rungs_resumed: int = counter()
+    evaluated: int = counter()  # candidate evaluations attempted (non-resumed rungs)
+    computed: int = counter()   # of those, computed fresh
+    cached: int = counter()     # of those, served from the store
 
 
 class SearchSession:
@@ -205,11 +199,12 @@ class SearchSession:
         self.fleet = fleet
         self.stats = SearchSessionStats()
         REGISTRY.register_object(
-            self, lambda session: session.stats.to_dict(),
-            prefix="repro_search",
-            labels={"instance": REGISTRY.next_instance("search")},
-            counters=frozenset({"rungs_total", "rungs_resumed", "evaluated",
-                                "computed", "cached"}))
+            self, prefix="repro_search",
+            labels={"instance": REGISTRY.next_instance("search")})
+
+    def snapshot(self) -> SearchSessionStats:
+        """A copy of :attr:`stats` (what ``/v1/metrics`` scrapes)."""
+        return copy.deepcopy(self.stats)
 
     def close(self) -> None:
         if self._owns_design:

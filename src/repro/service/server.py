@@ -40,6 +40,7 @@ is compute-bound on the sessions, not on HTTP parsing.
 
 from __future__ import annotations
 
+import copy
 import hmac
 import ipaddress
 import itertools
@@ -49,7 +50,7 @@ import os
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
@@ -66,7 +67,7 @@ from repro.api.session import sweep_points_to_dicts
 from repro.api.spec import spec_from_kind
 from repro.chaos.engine import chaos_hook, current_engine
 from repro.obs.metrics import CONTENT_TYPE as METRICS_CONTENT_TYPE
-from repro.obs.metrics import REGISTRY, Family, Histogram
+from repro.obs.metrics import REGISTRY, Family, Histogram, counter
 from repro.obs.trace import (
     TRACE_HEADER,
     ensure_armed,
@@ -148,58 +149,14 @@ class Job:
 _JOB_SECONDS_BUCKETS = (0.01, 0.05, 0.25, 1.0, 5.0, 30.0, 120.0, 600.0)
 
 
-def _collect_service_metrics(service: "SweepService") -> list:
-    """Metrics adapter: service-layer families for the global registry.
+@dataclass
+class ServiceStats:
+    """The service's own counters (``/v1/stats`` and ``/v1/metrics`` read
+    these; its sessions and store count into theirs)."""
 
-    The embedded sessions and store register their own adapters at
-    construction, so this only covers what the service itself owns — job
-    lifecycle, queue pressure, per-job wall time — plus the chaos engine's
-    counters when one is armed (the engine is process-global and has no
-    natural registration point of its own).
-    """
-    labels = service._metrics_labels
-    with service._lock:
-        jobs = list(service._jobs.values())
-        queued = service._queued
-    families = []
-
-    def single(name, kind, value, help_text):
-        fam = Family(name=name, kind=kind, help=help_text)
-        fam.add(value, labels)
-        families.append(fam)
-
-    by_status = Family(name="repro_service_jobs", kind="gauge",
-                       help="Currently retained jobs by status.")
-    for status in ("queued", "running", "done", "error"):
-        by_status.add(sum(1 for j in jobs if j.status == status),
-                      {**labels, "status": status})
-    families.append(by_status)
-    single("repro_service_queue_depth", "gauge", queued,
-           "Jobs enqueued but not yet picked up by a worker.")
-    single("repro_service_coalesced_total", "counter", service.coalesced,
-           "Submissions coalesced onto an in-flight twin.")
-    single("repro_service_rejected_busy_total", "counter",
-           service.rejected_busy, "Submissions refused with HTTP 429.")
-    single("repro_service_jobs_completed_total", "counter",
-           service._jobs_completed, "Jobs finished (done or error).")
-    single("repro_service_uptime_seconds", "gauge",
-           round(time.time() - service.started_at, 3),
-           "Seconds since the service started.")
-    families.append(service._job_seconds.family(
-        "repro_service_job_seconds", labels, "Per-job wall time (seconds)."))
-    engine = current_engine()
-    if engine is not None:
-        stats = engine.stats()
-        calls = Family(name="repro_chaos_hook_calls_total", kind="counter",
-                       help="Chaos hook evaluations by site.")
-        for site, n in (stats.get("calls") or {}).items():
-            calls.add(n, {**labels, "site": site})
-        injected = Family(name="repro_chaos_injected_total", kind="counter",
-                          help="Faults injected by kind.")
-        for kind, n in (stats.get("injected") or {}).items():
-            injected.add(n, {**labels, "kind": kind})
-        families.extend([calls, injected])
-    return families
+    coalesced: int = counter("Submissions coalesced onto an in-flight twin.")
+    rejected_busy: int = counter("Submissions refused with HTTP 429.")
+    jobs_completed: int = counter("Jobs finished (done or error).")
 
 
 class SweepService:
@@ -234,25 +191,21 @@ class SweepService:
         self.design = DesignSession(workers=workers, backend=backend,
                                     emulation=self.emulation, store=self.store)
         self.started_at = time.time()
-        self.coalesced = 0
-        self.rejected_busy = 0
+        self._counts = ServiceStats()
         self._jobs: dict[str, Job] = {}
         self._inflight: dict[tuple[str, str], Job] = {}
         self._fp_locks: dict[tuple[str, str], list] = {}  # key -> [lock, refs]
         self._queue: queue.Queue[Job | None] = queue.Queue()
         self._queued = 0  # jobs enqueued but not yet picked up by a worker
         self._avg_job_seconds: float | None = None
-        # per-job wall-time telemetry (finished jobs get pruned, so the
-        # counters live here rather than being derived from _jobs)
-        self._jobs_completed = 0
-        self._job_wall_seconds = 0.0
+        # per-job wall-time telemetry (finished jobs get pruned, so it
+        # lives here rather than being derived from _jobs)
         self._last_job_seconds: float | None = None
         self._job_seconds = Histogram(_JOB_SECONDS_BUCKETS)
-        self._metrics_labels = {
-            "instance": REGISTRY.next_instance("service")}
-        REGISTRY.register_object(self, _collect_service_metrics,
-                                 prefix="repro_service")
         self._lock = threading.Lock()
+        REGISTRY.register_object(
+            self, prefix="repro_service",
+            labels={"instance": REGISTRY.next_instance("service")})
         self._ids = itertools.count(1)
         self._closed = False
         self._workers = [
@@ -303,10 +256,10 @@ class SweepService:
                 raise RuntimeError("service is closed")
             twin = self._inflight.get((kind, fingerprint))
             if twin is not None:  # coalesced joins never count against the cap
-                self.coalesced += 1
+                self._counts.coalesced += 1
                 return twin, True
             if self.queue_cap is not None and self._queued >= self.queue_cap:
-                self.rejected_busy += 1
+                self._counts.rejected_busy += 1
                 raise ServiceBusy(
                     f"job queue is full ({self._queued} queued, cap "
                     f"{self.queue_cap})", retry_after=self._retry_after_hint())
@@ -396,8 +349,7 @@ class SweepService:
                     self._avg_job_seconds = (
                         duration if self._avg_job_seconds is None
                         else 0.7 * self._avg_job_seconds + 0.3 * duration)
-                    self._jobs_completed += 1
-                    self._job_wall_seconds += duration
+                    self._counts.jobs_completed += 1
                     self._last_job_seconds = duration
                     self._inflight.pop(key, None)
                     self._prune_finished()
@@ -451,34 +403,59 @@ class SweepService:
             "workers": self.queue_workers,
         }
 
-    def stats(self) -> dict:
+    def snapshot(self) -> ServiceStats:
+        """A copy of the service counters, taken under the service lock."""
         with self._lock:
-            jobs = list(self._jobs.values())
-        counts = {"total": len(jobs)}
-        for status in ("queued", "running", "done", "error"):
-            counts[status] = sum(1 for j in jobs if j.status == status)
+            return copy.deepcopy(self._counts)
+
+    def _job_counts(self) -> dict:
+        with self._lock:
+            statuses = [j.status for j in self._jobs.values()]
+        return {"total": len(statuses),
+                **{s: statuses.count(s)
+                   for s in ("queued", "running", "done", "error")}}
+
+    def live_families(self, labels: dict) -> list:
+        """The metrics that are not stored counters: job-status counts,
+        queue depth and uptime, plus the per-job wall-time histogram."""
+        jobs = Family("repro_service_jobs", "gauge",
+                      "Currently retained jobs by status.")
+        for status, n in self._job_counts().items():
+            if status != "total":
+                jobs.add(n, {**labels, "status": status})
+        depth = Family("repro_service_queue_depth", "gauge",
+                       "Jobs enqueued but not yet picked up by a worker.")
+        depth.add(self._queued, labels)
+        uptime = Family("repro_service_uptime_seconds", "gauge",
+                        "Seconds since the service started.")
+        uptime.add(round(time.time() - self.started_at, 3), labels)
+        return [jobs, depth, uptime, self._job_seconds.family(
+            "repro_service_job_seconds", labels, "Per-job wall time (seconds).")]
+
+    def stats(self) -> dict:
+        counts = self.snapshot()
         return {
             "uptime_seconds": round(time.time() - self.started_at, 3),
-            "jobs": counts,
-            "coalesced": self.coalesced,
+            "jobs": self._job_counts(),
+            "coalesced": counts.coalesced,
             "queue": {"workers": self.queue_workers, "cap": self.queue_cap,
                       "depth": self._queued,
-                      "rejected_busy": self.rejected_busy},
+                      "rejected_busy": counts.rejected_busy},
             # per-job wall time: what the fleet coordinator sizes retry
             # hints and shard budgets from
             "timing": {
-                "jobs_completed": self._jobs_completed,
+                "jobs_completed": counts.jobs_completed,
                 "avg_job_seconds": (
                     None if self._avg_job_seconds is None
                     else round(self._avg_job_seconds, 6)),
                 "last_job_seconds": (
                     None if self._last_job_seconds is None
                     else round(self._last_job_seconds, 6)),
-                "wall_seconds_total": round(self._job_wall_seconds, 6),
+                "wall_seconds_total": round(self._job_seconds.sum, 6),
             },
-            "store": None if self.store is None else self.store.stats.as_dict(),
-            "emulation": self.emulation.stats.as_dict(),
-            "design": self.design.stats.as_dict(),
+            "store": None if self.store is None else asdict(self.store.snapshot()),
+            "emulation": asdict(self.emulation.snapshot()),
+            "design": asdict(self.design.snapshot()),
             "chaos": (None if current_engine() is None
                       else current_engine().stats()),
         }

@@ -46,6 +46,7 @@ small at scale). Guarantees:
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import io
 import json
@@ -53,20 +54,16 @@ import os
 import tempfile
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from repro.chaos.engine import chaos_hook
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, counter
 from repro.obs.trace import trace_span
 
 __all__ = ["ResultStore", "StoreStats"]
-
-# StoreStats fields that are monotonic counters ("bytes" is a gauge).
-_STORE_COUNTERS = frozenset(
-    {"hits", "misses", "puts", "evictions", "index_rebuilds", "quarantined"})
 
 # Temp files older than this are presumed crashed writers and swept.
 _STALE_TMP_SECONDS = 3600.0
@@ -83,16 +80,13 @@ def _checksum(blob: bytes) -> str:
 class StoreStats:
     """Store counters (the service surfaces these via ``/v1/stats``)."""
 
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    evictions: int = 0
-    bytes: int = 0
-    index_rebuilds: int = 0
-    quarantined: int = 0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
+    hits: int = counter()
+    misses: int = counter()
+    puts: int = counter()
+    evictions: int = counter()
+    bytes: int = 0  # a gauge: the current byte estimate
+    index_rebuilds: int = counter()
+    quarantined: int = counter()
 
 
 class ResultStore:
@@ -129,9 +123,14 @@ class ResultStore:
         self._index: dict[Path, list] = {}
         self._rebuild_index()
         REGISTRY.register_object(
-            self, lambda store: store.stats.as_dict(), prefix="repro_store",
-            labels={"instance": REGISTRY.next_instance("store")},
-            counters=_STORE_COUNTERS)
+            self, prefix="repro_store",
+            labels={"instance": REGISTRY.next_instance("store")})
+
+    def snapshot(self) -> StoreStats:
+        """A copy of :attr:`stats`, taken under the store lock (what
+        ``/v1/metrics`` and ``/v1/stats`` read)."""
+        with self._lock:
+            return copy.deepcopy(self.stats)
 
     @classmethod
     def coerce(cls, store) -> "ResultStore | None":

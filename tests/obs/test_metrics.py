@@ -1,58 +1,69 @@
 """repro.obs.metrics: registry conventions, exposition grammar, weakrefs."""
 
+import copy
 import gc
 import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 from repro.obs.metrics import (
     CONTENT_TYPE,
-    Counter,
     Family,
-    Gauge,
     Histogram,
     MetricsRegistry,
     REGISTRY,
+    counter,
 )
 
 # Prometheus text format 0.0.4 sample-line grammar (simplified but strict
 # enough to catch label/value formatting bugs).
 _SAMPLE = re.compile(
-    r"^[a-zA-Z_:][a-zA-Z0-9_:]*"
+    r"^([a-zA-Z_:][a-zA-Z0-9_:]*)"
     r'(\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"'
     r'(,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*")*\})?'
     r" [^ ]+$"
 )
 
+_HISTOGRAM_SUFFIXES = ("_bucket", "_sum", "_count")
+
 
 def assert_valid_exposition(text: str) -> None:
+    """Every sample parses, and is named after its ``# TYPE`` family (a
+    histogram's samples may add ``_bucket``/``_sum``/``_count``): a
+    sample named otherwise reads as untyped to a 0.0.4 parser."""
     assert text.endswith("\n")
+    family = kind = None
     for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            family, kind = line.split()[2:4]
         if not line or line.startswith("#"):
             continue
-        assert _SAMPLE.match(line), f"bad sample line: {line!r}"
+        match = _SAMPLE.match(line)
+        assert match, f"bad sample line: {line!r}"
+        allowed = {family} | ({family + s for s in _HISTOGRAM_SUFFIXES}
+                              if kind == "histogram" else set())
+        assert match.group(1) in allowed, f"{line!r} outside family {family!r}"
+
+
+@dataclass
+class _Stats:
+    hits: int = counter("Cache hits.")
+    depth: int = 0
 
 
 class _Holder:
-    """A stats-bearing object the registry can weakref."""
+    """A stats-bearing owner the registry can weakref."""
 
-    def __init__(self, payload):
-        self.payload = payload
+    def __init__(self, stats):
+        self.stats = stats
+
+    def snapshot(self):
+        return copy.deepcopy(self.stats)
 
 
 class TestInstruments:
-    def test_counter_and_gauge(self):
-        c = Counter()
-        c.inc()
-        c.inc(2.5)
-        assert c.value == 3.5
-        g = Gauge()
-        g.set(7)
-        g.inc()
-        g.dec(3)
-        assert g.value == 5.0
-
     def test_histogram_buckets_are_cumulative(self):
         h = Histogram((0.1, 1.0, 10.0))
         for v in (0.05, 0.5, 0.5, 5.0, 50.0):
@@ -74,56 +85,62 @@ class TestInstruments:
 class TestRegistryConventions:
     def test_counters_get_total_suffix_and_type(self):
         reg = MetricsRegistry()
-        holder = _Holder({"hits": 3, "depth": 7})
-        reg.register_object(holder, lambda h: h.payload, prefix="t",
-                            labels={"instance": "t-1"}, counters={"hits"})
+        holder = _Holder(_Stats(hits=3, depth=7))
+        reg.register_object(holder, prefix="t", labels={"instance": "t-1"})
         text = reg.render()
-        assert '# TYPE t_hits_total counter' in text
+        assert "# HELP t_hits_total Cache hits." in text
+        assert "# TYPE t_hits_total counter" in text
         assert 't_hits_total{instance="t-1"} 3' in text
-        assert '# TYPE t_depth gauge' in text
+        assert "# TYPE t_depth gauge" in text
         assert 't_depth{instance="t-1"} 7' in text
         assert_valid_exposition(text)
 
     def test_dict_values_expand_to_key_labels(self):
+        @dataclass
+        class Calls:
+            calls: dict = counter(label="site")
+
         reg = MetricsRegistry()
-        holder = _Holder({"calls": {"store.put": 4, "fleet.shard": 1}})
-        reg.register_object(holder, lambda h: h.payload, prefix="t",
-                            counters={"calls"})
+        holder = _Holder(Calls({"store.put": 4, "fleet.shard": 1}))
+        reg.register_object(holder, prefix="t")
         text = reg.render()
-        assert 't_calls_total{key="store.put"} 4' in text
-        assert 't_calls_total{key="fleet.shard"} 1' in text
+        assert 't_calls_total{site="store.put"} 4' in text
+        assert 't_calls_total{site="fleet.shard"} 1' in text
 
     def test_strings_fold_into_info_gauge(self):
+        @dataclass
+        class Backend:
+            backend: str = "thread"
+            workers: int = 2
+
         reg = MetricsRegistry()
-        holder = _Holder({"backend": "thread", "workers": 2})
-        reg.register_object(holder, lambda h: h.payload, prefix="t",
-                            labels={"instance": "t-1"})
+        holder = _Holder(Backend())
+        reg.register_object(holder, prefix="t", labels={"instance": "t-1"})
         text = reg.render()
         assert 't_info{backend="thread",instance="t-1"} 1' in text
         assert 't_workers{instance="t-1"} 2' in text
 
     def test_prebuilt_family_lists_pass_through(self):
+        class Live(_Holder):
+            def live_families(self, labels):
+                fam = Family("t_custom", "gauge", "help text")
+                fam.add(9, {**labels, "a": "b"})
+                return [fam]
+
         reg = MetricsRegistry()
-        holder = _Holder(None)
-
-        def collect(h):
-            fam = Family("t_custom", "counter", "help text")
-            fam.add(9, {"a": "b"}, suffix="_total")
-            return [fam]
-
-        reg.register_object(holder, collect, prefix="t")
+        holder = Live(_Stats())
+        reg.register_object(holder, prefix="t", labels={"instance": "t-1"})
         text = reg.render()
         assert "# HELP t_custom help text" in text
-        assert 't_custom_total{a="b"} 9' in text
+        assert 't_custom{a="b",instance="t-1"} 9' in text
+        assert 't_hits_total{instance="t-1"} 0' in text  # beside the fields
 
     def test_same_family_from_two_objects_merges(self):
         reg = MetricsRegistry()
-        h1 = _Holder({"hits": 1})
-        h2 = _Holder({"hits": 2})
-        reg.register_object(h1, lambda h: h.payload, prefix="t",
-                            labels={"instance": "a"}, counters={"hits"})
-        reg.register_object(h2, lambda h: h.payload, prefix="t",
-                            labels={"instance": "b"}, counters={"hits"})
+        h1 = _Holder(_Stats(hits=1))
+        h2 = _Holder(_Stats(hits=2))
+        reg.register_object(h1, prefix="t", labels={"instance": "a"})
+        reg.register_object(h2, prefix="t", labels={"instance": "b"})
         text = reg.render()
         assert text.count("# TYPE t_hits_total counter") == 1
         assert 't_hits_total{instance="a"} 1' in text
@@ -131,40 +148,47 @@ class TestRegistryConventions:
 
     def test_dead_objects_are_pruned_not_scraped(self):
         reg = MetricsRegistry()
-        holder = _Holder({"hits": 1})
-        reg.register_object(holder, lambda h: h.payload, prefix="t")
+        holder = _Holder(_Stats(hits=1))
+        reg.register_object(holder, prefix="t")
         assert "t_hits" in reg.render()
         del holder
         gc.collect()
         assert "t_hits" not in reg.render()
         assert reg._adapters == []  # pruned, not just skipped
 
+    def test_unregistered_objects_are_not_scraped(self):
+        reg = MetricsRegistry()
+        holder = _Holder(_Stats(hits=1))
+        reg.register_object(holder, prefix="t")
+        reg.unregister(holder)
+        assert reg.render() == "\n"
+
     def test_short_lived_owners_do_not_pile_up_between_scrapes(self):
         reg = MetricsRegistry()
         for i in range(100):  # e.g. one transient session per call
-            reg.register_object(_Holder({"hits": i}), lambda h: h.payload, prefix="t")
+            reg.register_object(_Holder(_Stats(hits=i)), prefix="t")
         assert len(reg._adapters) == 1
 
     def test_broken_adapter_does_not_poison_the_scrape(self):
+        class Broken(_Holder):
+            def snapshot(self):
+                raise RuntimeError("snapshot bug")
+
         reg = MetricsRegistry()
-        bad = _Holder(None)
-        good = _Holder({"ok": 1})
-
-        def explode(h):
-            raise RuntimeError("adapter bug")
-
-        reg.register_object(bad, explode, prefix="bad")
-        reg.register_object(good, lambda h: h.payload, prefix="good")
+        bad = Broken(_Stats())
+        good = _Holder(_Stats(hits=1))
+        reg.register_object(bad, prefix="bad")
+        reg.register_object(good, prefix="good")
         text = reg.render()
-        assert "good_ok 1" in text
+        assert "good_hits_total 1" in text
+        assert "bad_" not in text
 
     def test_label_escaping(self):
         reg = MetricsRegistry()
-        holder = _Holder({"v": 1})
-        reg.register_object(holder, lambda h: h.payload, prefix="t",
-                            labels={"path": 'a"b\\c\nd'})
+        holder = _Holder(_Stats(depth=1))
+        reg.register_object(holder, prefix="t", labels={"path": 'a"b\\c\nd'})
         text = reg.render()
-        assert 't_v{path="a\\"b\\\\c\\nd"} 1' in text
+        assert 't_depth{path="a\\"b\\\\c\\nd"} 1' in text
         assert_valid_exposition(text)
 
     def test_next_instance_is_monotonic_per_prefix(self):
@@ -174,10 +198,19 @@ class TestRegistryConventions:
         assert reg.next_instance("y") == "y-1"
 
     def test_bool_values_render_as_ints(self):
+        @dataclass
+        class Armed:
+            armed: bool = True
+
         reg = MetricsRegistry()
-        holder = _Holder({"armed": True})
-        reg.register_object(holder, lambda h: h.payload, prefix="t")
+        holder = _Holder(Armed())
+        reg.register_object(holder, prefix="t")
         assert "t_armed 1" in reg.render()
+
+    def test_sample_named_outside_its_family_is_rejected(self):
+        bad = "# TYPE t counter\nt_total{counter=\"x\"} 1\n"
+        with pytest.raises(AssertionError, match="outside family"):
+            assert_valid_exposition(bad)
 
 
 class TestGlobalRegistryIntegration:
@@ -258,9 +291,14 @@ EXPOSITION_SCHEMA = {
     ("repro_design_misses_total", "counter", ("instance", "key")),
     ("repro_design_tasks_dispatched_total", "counter", ("instance",)),
     ("repro_design_workers", "gauge", ("instance",)),
-    ("repro_fleet", "counter", ("counter", "instance")),
     ("repro_fleet_breaker_state", "gauge", ("endpoint", "instance")),
-    ("repro_fleet_endpoint_jobs", "counter", ("endpoint", "instance")),
+    ("repro_fleet_endpoint_jobs_total", "counter", ("endpoint", "instance")),
+    ("repro_fleet_redispatches_total", "counter", ("instance",)),
+    ("repro_fleet_rejoins_total", "counter", ("instance",)),
+    ("repro_fleet_retries_total", "counter", ("instance",)),
+    ("repro_fleet_shards_completed_total", "counter", ("instance",)),
+    ("repro_fleet_shards_local_total", "counter", ("instance",)),
+    ("repro_fleet_shards_skipped_warm_total", "counter", ("instance",)),
     ("repro_search_cached_total", "counter", ("instance",)),
     ("repro_search_computed_total", "counter", ("instance",)),
     ("repro_search_evaluated_total", "counter", ("instance",)),
@@ -296,3 +334,34 @@ class TestExpositionSchema:
         text = scrape_every_layer(tmp_path)
         assert_valid_exposition(text)
         assert exposition_schema(text) == EXPOSITION_SCHEMA
+
+
+def _samples(text: str, name: str) -> list:
+    return [float(line.rsplit(" ", 1)[1]) for line in text.splitlines()
+            if line.startswith(name + "{")]
+
+
+class TestChaosCountedOncePerProcess:
+    def test_two_services_report_one_injected_fault_once(self, tmp_path):
+        from repro.api import RunSpec
+        from repro.chaos import FaultPlan, install
+        from repro.service import SweepService
+
+        spec = RunSpec.grid(name="chaos-once", precisions=(8,),
+                            accumulators=("fp32",), sources=("laplace",),
+                            batch=64, n=4, seed=0)
+        first = SweepService(store=tmp_path / "a")
+        second = SweepService(store=tmp_path / "b")
+        try:
+            with install(FaultPlan.from_dict(
+                    {"seed": 0, "faults": ["store-corrupt@put:0"]})) as engine:
+                job, _ = first.submit("sweep", spec.to_dict())
+                first.job(job.id, wait=60.0)
+                assert engine.stats()["injected"] == {"store-corrupt": 1}
+                text = REGISTRY.render()
+            assert sum(_samples(text, "repro_chaos_injected_total")) == 1
+            # disarmed, the engine is no longer scraped
+            assert "repro_chaos_" not in REGISTRY.render()
+        finally:
+            first.close()
+            second.close()

@@ -34,7 +34,7 @@ def _sweep_traced(backend, workers=2):
     with install() as tracer:
         with EmulationSession(backend=backend, workers=workers) as session:
             sweep = session.sweep(SPEC)
-            stats = session.stats.as_dict()  # live while the session is open
+            stats = dataclasses.asdict(session.stats)  # live while the session is open
         return sweep.points, tracer.export(), stats
 
 

@@ -179,7 +179,7 @@ class TestCoalescing:
             running_twin, c3 = service.submit("sweep",
                                               {**SPEC.to_dict(), "seed": 99})
             assert c3 and running_twin is blocker
-            assert service.coalesced == 2
+            assert service.stats()["coalesced"] == 2
             release.set()
             assert twin.done.wait(60) and twin.status == "done"
             assert service.stats()["jobs"]["total"] == 2
