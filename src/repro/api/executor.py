@@ -14,6 +14,13 @@ sync step:
     on a thread pool. NumPy releases the GIL inside the kernel's hot loops,
     so this scales on multi-core hosts without any serialization cost.
 
+Both also queue single tasks (:meth:`SerialExecutor.submit`): the serial
+backend runs one at once and hands back a finished future, the thread
+backend queues it on its pool, so a caller can overlap its own work with
+the kernels through one code path. A task already running on a backend's
+pool runs any further work inline (:meth:`SerialExecutor.in_task`): a pool
+thread that waited on its own pool could deadlock it.
+
 Task splitting is **chunk-granular**: spans along the leading batch axis are
 aligned to the engine's cache-sized row blocks
 (:func:`repro.ipu.engine.default_chunk_rows`), so every backend processes
@@ -29,7 +36,7 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,10 +183,19 @@ def _concat_results(slabs: list[list[FPIPBatchResult]]) -> list[FPIPBatchResult]
 
 def _attached(state: dict, fn):
     """Wrap ``fn`` so pool threads run it under the captured trace context."""
-    def wrapped(item):
+    def wrapped(*args):
         with trace_attach(state):
-            return fn(item)
+            return fn(*args)
     return wrapped
+
+
+# Which executor's pool the current thread belongs to (set once per pool
+# thread by the pool's initializer).
+_POOL_THREAD = threading.local()
+
+
+def _enter_pool(executor) -> None:
+    _POOL_THREAD.owner = executor
 
 
 class SerialExecutor:
@@ -196,7 +212,18 @@ class SerialExecutor:
         self.workers = workers
         self.stats = stats
         stats.backend, stats.workers = self.name, workers
-        self._lock = threading.Lock()
+        self.lock = threading.Lock()  # guards the stats counters
+
+    def in_task(self) -> bool:
+        """Whether the calling thread is one of this backend's pool threads."""
+        return False
+
+    def submit(self, fn, *args) -> Future:
+        """Run ``fn(*args)`` now and hand back its finished future (an
+        exception propagates from here)."""
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
     def run_points(self, pa, pb, points, shape, chunk_rows=None):
         return fp_ip_points(pa, pb, points, chunk_rows=chunk_rows)
@@ -218,11 +245,27 @@ class ThreadExecutor(SerialExecutor):
         self._pool: ThreadPoolExecutor | None = None
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
+        with self.lock:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix="repro-exec")
+                    max_workers=self.workers, thread_name_prefix="repro-exec",
+                    initializer=_enter_pool, initargs=(self,))
             return self._pool
+
+    def in_task(self) -> bool:
+        return getattr(_POOL_THREAD, "owner", None) is self
+
+    def submit(self, fn, *args) -> Future:
+        """Queue ``fn(*args)`` on the pool under the caller's trace context
+        (inline when called from the pool itself)."""
+        if self.in_task():
+            return super().submit(fn, *args)
+        pool = self._ensure_pool()
+        state = trace_capture()
+        future = pool.submit(fn if state is None else _attached(state, fn), *args)
+        with self.lock:
+            self.stats.tasks_dispatched += 1
+        return future
 
     def run_points(self, pa, pb, points, shape, chunk_rows=None):
         dim0 = shape[0]
@@ -230,41 +273,25 @@ class ThreadExecutor(SerialExecutor):
         spans = chunk_spans(dim0, inner, shape[-1], self.workers, chunk_rows)
         if len(spans) <= 1:
             return fp_ip_points(pa, pb, points, chunk_rows=chunk_rows)
-        pool = self._ensure_pool()
-        state = trace_capture()
-        if state is None:  # disarmed fast path: submit the kernel directly
-            futures = [
-                pool.submit(fp_ip_points, _slab(pa, shape, lo, hi),
-                            _slab(pb, shape, lo, hi), points, chunk_rows)
-                for lo, hi in spans
-            ]
-        else:
-            def traced(lo, hi):
-                with trace_attach(state), trace_span(
-                        "executor.chunk", backend="thread", lo=lo, hi=hi):
-                    return fp_ip_points(_slab(pa, shape, lo, hi),
-                                        _slab(pb, shape, lo, hi), points,
-                                        chunk_rows=chunk_rows)
-            futures = [pool.submit(traced, lo, hi) for lo, hi in spans]
-        with self._lock:
-            self.stats.tasks_dispatched += len(futures)
+
+        def span_task(lo, hi):
+            with trace_span("executor.chunk", backend=self.name, lo=lo, hi=hi):
+                return fp_ip_points(_slab(pa, shape, lo, hi),
+                                    _slab(pb, shape, lo, hi), points,
+                                    chunk_rows=chunk_rows)
+
+        futures = [self.submit(span_task, lo, hi) for lo, hi in spans]
         return _concat_results([f.result() for f in futures])
 
     def map(self, fn, items) -> list:
         items = list(items)
         if len(items) <= 1:
             return [fn(item) for item in items]
-        pool = self._ensure_pool()
-        state = trace_capture()
-        if state is not None:
-            fn = _attached(state, fn)
-        futures = [pool.submit(fn, item) for item in items]
-        with self._lock:
-            self.stats.tasks_dispatched += len(futures)
+        futures = [self.submit(fn, item) for item in items]
         return [f.result() for f in futures]
 
     def close(self) -> None:
-        with self._lock:
+        with self.lock:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)

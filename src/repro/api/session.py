@@ -26,6 +26,7 @@ from __future__ import annotations
 import copy
 import threading
 import time
+from concurrent.futures import wait
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -65,9 +66,13 @@ class SessionStats(ExecutorStats):
 
     ``plan_hits``/``plan_misses`` count conv weight plans reused from the
     session's cache and decoded afresh (:meth:`EmulationSession.weight_plan`);
-    ``kernel_rows`` counts emulated rows and ``parallel_batches`` the calls
-    handed to the backend. The inherited :class:`ExecutorStats` fields prove
-    the pool engaged (benchmark JSON asserts on them).
+    ``kernel_rows`` counts emulated rows and ``parallel_batches`` the kernel
+    calls that ran on the backend's pool (split batches and sweep chunk
+    tasks). The inherited :class:`ExecutorStats` fields prove the pool
+    engaged (benchmark JSON asserts on them). Pool threads and callers
+    sharing the session count concurrently: the kernel counters are
+    written under the executor's lock, the plan counters under the
+    weight-plan lock.
     """
 
     plan_hits: int = counter()
@@ -162,7 +167,8 @@ class EmulationSession:
 
     def snapshot(self) -> SessionStats:
         """A copy of :attr:`stats` (what ``/v1/metrics`` scrapes)."""
-        return copy.deepcopy(self.stats)
+        with self.executor.lock:
+            return copy.deepcopy(self.stats)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -302,17 +308,28 @@ class EmulationSession:
             raise RuntimeError("session is closed")
         shape = self._pair_shape(pa, pb)
         rows = int(np.prod(shape[:-1], dtype=np.int64))
-        self.stats.kernel_rows += rows * len(points)
-        if (self.executor.workers <= 1 or shape[0] <= 1
-                or rows < MIN_PARALLEL_ROWS):
+        executor = self.executor
+        in_task = executor.in_task()
+        parallel = in_task or not (executor.workers <= 1 or shape[0] <= 1
+                                   or rows < MIN_PARALLEL_ROWS)
+        with executor.lock:
+            self.stats.kernel_rows += rows * len(points)
+            self.stats.parallel_batches += int(parallel)
+        if in_task:
+            # a task on the backend's own pool (a sweep chunk) runs inline:
+            # waiting on that pool from one of its threads could deadlock it
+            with trace_span("engine.kernels", rows=rows, kernels=len(points),
+                            parallel=True, backend=executor.name), \
+                    trace_span("executor.chunk", backend=executor.name, rows=rows):
+                return fp_ip_points(pa, pb, points, chunk_rows=self.chunk_rows)
+        if not parallel:
             with trace_span("engine.kernels", rows=rows, kernels=len(points),
                             parallel=False):
                 return fp_ip_points(pa, pb, points, chunk_rows=self.chunk_rows)
-        self.stats.parallel_batches += 1
         with trace_span("engine.kernels", rows=rows, kernels=len(points),
-                        parallel=True, backend=self.executor.name):
-            return self.executor.run_points(pa, pb, points, shape,
-                                            chunk_rows=self.chunk_rows)
+                        parallel=True, backend=executor.name):
+            return executor.run_points(pa, pb, points, shape,
+                                       chunk_rows=self.chunk_rows)
 
     @staticmethod
     def _pair_shape(pa: PackedOperands, pb: PackedOperands) -> tuple[int, ...]:
@@ -343,13 +360,16 @@ class EmulationSession:
                 _slab(pa, shape, start, stop), _slab(pb, shape, start, stop),
                 kernels)
 
-    def _block_spans(self, shape, chunk_rows: int | None = None) -> list[tuple[int, int]]:
-        """The streaming block boundaries over a pair shape's leading axis."""
+    def _block_spans(self, shape, chunk_rows: int | None = None,
+                     workers: int | None = None) -> list[tuple[int, int]]:
+        """Block boundaries over a pair shape's leading axis, ``workers``
+        engine chunks per block (default: the backend's worker count, so
+        one streamed block gives every pool thread a chunk)."""
         dim0, n = shape[0], shape[-1]
         inner = int(np.prod(shape[1:-1], dtype=np.int64))
         rows_per_block = chunk_rows or self.chunk_rows or default_chunk_rows(n)
-        # one block per pool task keeps streaming and parallelism composable
-        step = max(1, (rows_per_block // max(inner, 1)) * max(self.executor.workers, 1))
+        workers = self.executor.workers if workers is None else workers
+        step = max(1, (rows_per_block // max(inner, 1)) * max(workers, 1))
         return [(start, min(start + step, dim0)) for start in range(0, dim0, step)]
 
     def fp_ip_points_iter(self, a, b, points, fmt: str | FPFormat = "fp16",
@@ -402,38 +422,49 @@ class EmulationSession:
 
     def sweep(self, spec: RunSpec, rng=None, store=None,
               deadline_seconds: float | None = None) -> PrecisionSweep:
-        """Run a :class:`RunSpec` grid (the Figure-3 protocol), streamed.
+        """Run a :class:`RunSpec` grid (the Figure-3 protocol), pipelined.
 
         Per source: sample ``batch * chunks`` operand pairs, compute the
         FP32-CPU reference, pack both operands once, execute every distinct
-        kernel configuration off the shared plans **chunk by chunk**
-        (:meth:`_stream_kernels`), then apply each point's accumulator
-        write-back and error statistics. Points that differ only in
-        accumulator share one kernel execution, and only the exact register
-        values are retained per kernel — the engine's full five-array output
-        never exists for more than one chunk, so million-sample error sweeps
-        stay memory-bounded.
+        kernel configuration off the shared plans **chunk by chunk**, then
+        apply each point's accumulator write-back and error statistics.
+        Points that differ only in accumulator share one kernel execution.
+
+        The sources form a two-stage pipeline. All of a source's cold chunks
+        are handed to the execution backend at once, each as one task, and
+        while the pool runs source *s* the calling thread computes the error
+        statistics of source *s-1* and samples, references and packs source
+        *s+1*. Operands are still drawn from one generator in source order,
+        so every byte matches a serial run. A chunk task keeps only the
+        exact register values of each kernel, written into per-kernel
+        buffers allocated up front: the engine's full five-array output
+        never exists for more than one chunk, and at most two sources' buffers
+        are alive, so million-sample error sweeps stay memory-bounded. The
+        serial backend runs each task as it is handed over, through the same
+        loop.
 
         ``rng`` overrides ``spec.seed`` (for callers that thread one
         generator through several runs); JSON replays leave it ``None``.
 
         ``store`` (or the session's ``store=``) persists results across
-        processes: finished sources are stored whole and every computed
-        chunk's exact register values are stored as the sweep streams, both
-        keyed by the spec's stable fingerprint. A killed sweep re-run
-        against the same store replays only the missing chunks; a warm
-        re-run skips kernels entirely. An explicit ``rng`` disables
-        persistence (generator state has no stable fingerprint). Results
-        are bit-identical with and without a store: operands are always
-        re-sampled (keeping the cross-source generator state exact) and
-        float64 values round-trip the codecs exactly.
+        processes: finished sources are stored whole and each chunk task
+        stores its chunk's exact register values as soon as it has computed
+        them, both keyed by the spec's stable fingerprint. Stored chunks are
+        served before any task is queued. A killed sweep re-run against the
+        same store replays only the missing chunks; a warm re-run queues no
+        task at all. An explicit ``rng`` disables persistence (generator
+        state has no stable fingerprint). Results are bit-identical with and
+        without a store: operands are always re-sampled (keeping the
+        cross-source generator state exact) and float64 values round-trip
+        the codecs exactly.
 
-        ``deadline_seconds`` bounds the *computing* this call may start: the
-        deadline is checked before each cold chunk (never before serving a
-        store hit), so a warm replay always succeeds regardless of budget,
-        and a sweep that runs out of time raises
-        :class:`~repro.chaos.errors.DeadlineExceeded` with every finished
-        chunk already persisted — a re-run resumes from where it stopped.
+        ``deadline_seconds`` bounds the *computing* this call may start: each
+        chunk task checks the deadline when it starts, not when it is queued
+        (and serving a store hit never checks it), so a warm replay always
+        succeeds regardless of budget. A sweep that runs out of time raises
+        :class:`~repro.chaos.errors.DeadlineExceeded` once its queued tasks
+        have drained, with every finished chunk already persisted — a re-run
+        resumes from where it stopped.
         """
         with trace_span("session.sweep", spec=spec.name,
                         sources=len(spec.sources), points=len(spec.points)):
@@ -445,89 +476,172 @@ class EmulationSession:
             raise RuntimeError("session is closed")
         if not spec.points:
             raise ValueError("RunSpec has no precision points")
-        store = self.store if store is None else ResultStore.coerce(store)
-        cacheable = store is not None and rng is None
-        deadline = (None if deadline_seconds is None
-                    else time.monotonic() + deadline_seconds)
-        fmt = parse_format(spec.operand_format)
-        dtype = np_float_dtype(fmt)
-        rng = as_generator(spec.seed if rng is None else rng)
-        spec_fp = spec.fingerprint() if cacheable else None
+        run = _SweepRun(self, spec, rng,
+                        self.store if store is None else ResultStore.coerce(store),
+                        deadline_seconds)
+        result = PrecisionSweep()
+        jobs: list[_SourceJob] = []  # started, not yet collected; oldest first
+        try:
+            for src_index, source in enumerate(spec.sources):
+                jobs.append(run.start(src_index, source))
+                if len(jobs) > 1:
+                    result.points.extend(run.finish(jobs[0]))
+                    jobs.pop(0)
+            while jobs:
+                result.points.extend(run.finish(jobs[0]))
+                jobs.pop(0)
+        except BaseException:
+            # no task may outlive the call: drop the queued ones, await the rest
+            futures = [f for job in jobs for f in job.futures]
+            for future in futures:
+                future.cancel()
+            wait(futures)
+            raise
+        return result
+
+
+class _SourceJob:
+    """One source in flight: its reference, per-kernel value buffers and the
+    futures of its cold chunks (``points`` is set instead on a store hit)."""
+
+    __slots__ = ("source", "source_fp", "points", "ref", "values", "futures")
+
+    def __init__(self, source: str, source_fp: str | None):
+        self.source, self.source_fp = source, source_fp
+        self.points = self.ref = self.values = None
+        self.futures = []
+
+
+class _SweepRun:
+    """The state of one :meth:`EmulationSession.sweep` call.
+
+    :meth:`start` samples, references and packs a source and queues its
+    cold chunks on the session's executor; :meth:`finish` awaits them and
+    turns the values into error statistics. The sweep starts source *s+1*
+    before it finishes source *s*, so the parent's serial work overlaps the
+    pool's kernels; operands are still drawn from the one generator in
+    source order.
+    """
+
+    def __init__(self, session: EmulationSession, spec: RunSpec, rng, store,
+                 deadline_seconds: float | None):
+        self.session, self.spec = session, spec
+        self.cacheable = store is not None and rng is None
+        self.store = store if self.cacheable else None
+        self.deadline_seconds = deadline_seconds
+        self.deadline = (None if deadline_seconds is None
+                         else time.monotonic() + deadline_seconds)
+        self.fmt = parse_format(spec.operand_format)
+        self.dtype = np_float_dtype(self.fmt)
+        self.rng = as_generator(spec.seed if rng is None else rng)
+        self.spec_fp = spec.fingerprint() if self.cacheable else None
         # chunk entries are keyed below the *kernel* grid (accumulator-only
         # point variants share them), so drop the fields they don't depend on
-        if cacheable:
-            operand_dict = spec.to_dict()
+        if self.cacheable:
+            self.operand_dict = spec.to_dict()
             for field in ("name", "executor", "points"):
-                operand_dict.pop(field, None)
-        kernels, index = _dedup_kernels(spec.points)
+                self.operand_dict.pop(field, None)
+        self.kernels, self.index = _dedup_kernels(spec.points)
         # the stored chunk payloads are exact register values, which are
         # accumulator-independent (write-back happens after the store), so
         # the chunk key must not mention acc_fmt — else two accumulator-only
         # spec variants would store byte-identical payloads twice
-        kernel_descs = [[k.adder_width, k.software_precision, k.multi_cycle]
-                        for k in kernels]
-        result = PrecisionSweep()
-        for src_index, source in enumerate(spec.sources):
-            # always sample (even on a store hit): sources share one
-            # generator, so skipping would shift every later source's operands
-            a, b = _operands_for(source, spec.batch * spec.chunks, spec.n, rng)
-            if cacheable:
-                source_fp = _result_key({"sweep_source": spec_fp,
-                                         "index": src_index, "source": source})
-                hit = store.get_json("sweep-source", source_fp)
-                if hit is not None:
-                    result.points.extend(sweep_points_from_dicts(hit["points"]))
+        self.kernel_descs = [[k.adder_width, k.software_precision, k.multi_cycle]
+                             for k in self.kernels]
+
+    def start(self, src_index: int, source: str) -> _SourceJob:
+        spec, store, session = self.spec, self.store, self.session
+        # always sample (even on a store hit): sources share one generator,
+        # so skipping would shift every later source's operands
+        a, b = _operands_for(source, spec.batch * spec.chunks, spec.n, self.rng)
+        source_fp = operands_fp = None
+        if self.cacheable:
+            source_fp = _result_key({"sweep_source": self.spec_fp,
+                                     "index": src_index, "source": source})
+            hit = store.get_json("sweep-source", source_fp)
+            if hit is not None:
+                job = _SourceJob(source, None)
+                job.points = sweep_points_from_dicts(hit["points"])
+                return job
+            operands_fp = _result_key({"sweep_operands": self.operand_dict,
+                                       "index": src_index, "source": source})
+        job = _SourceJob(source, source_fp)
+        # quantize operands into the operand format once so the reference
+        # sees the same bits the IPU does
+        aq = np.asarray(a, self.dtype).astype(np.float64)
+        bq = np.asarray(b, self.dtype).astype(np.float64)
+        # free each float64 copy once it is used: kept alive through the
+        # kernels, they raised the peak enough that the allocator returned
+        # memory and faulted it back in for every source (twice the page
+        # faults of a serial sweep, measured)
+        del a, b
+        ref = cpu_fp32_dot_batch(aq, bq).astype(np.float64)
+        if spec.chunks > 1:
+            ref = ref.reshape(spec.batch, spec.chunks).sum(axis=1)
+        job.ref = ref
+        pa, pb = session.pack(aq, self.fmt), session.pack(bq, self.fmt)
+        del aq, bq
+        shape = session._pair_shape(pa, pb)
+        job.values = [np.empty(spec.batch * spec.chunks) for _ in self.kernels]
+        # serve every stored chunk first, then queue all the cold ones at
+        # once, one engine chunk per task: the pool threads share them out
+        cold = []
+        for start, stop in session._block_spans(shape, workers=1):
+            chunk_fp = None
+            if self.cacheable:
+                chunk_fp = _result_key({"sweep_chunk": operands_fp,
+                                        "kernels": self.kernel_descs,
+                                        "span": [start, stop]})
+                arrays = store.get_arrays("sweep-chunk", chunk_fp)
+                if arrays is not None and len(arrays) == len(self.kernels):
+                    for k, buf in enumerate(job.values):
+                        buf[start:stop] = arrays[f"k{k}"]
                     continue
-                operands_fp = _result_key({"sweep_operands": operand_dict,
-                                           "index": src_index, "source": source})
-            # quantize operands into the operand format once so the
-            # reference sees the same bits the IPU does
-            aq = np.asarray(a, dtype).astype(np.float64)
-            bq = np.asarray(b, dtype).astype(np.float64)
-            ref = cpu_fp32_dot_batch(aq, bq).astype(np.float64)
+            cold.append((start, stop, chunk_fp))
+        for start, stop, chunk_fp in cold:
+            job.futures.append(session.executor.submit(
+                self._chunk, job, pa, pb, shape, start, stop, chunk_fp))
+        return job
+
+    def _chunk(self, job: _SourceJob, pa, pb, shape, start: int, stop: int,
+               chunk_fp: str | None) -> None:
+        """One cold chunk task: its values into the source's buffers, then
+        into the store."""
+        if self.deadline is not None and time.monotonic() >= self.deadline:
+            raise DeadlineExceeded(
+                f"sweep {self.spec.name!r} ran out of its "
+                f"{self.deadline_seconds}s budget before chunk "
+                f"[{start}, {stop}) of source {job.source!r}")
+        chunk = self.session._run_points(_slab(pa, shape, start, stop),
+                                         _slab(pb, shape, start, stop),
+                                         self.kernels, None)
+        for buf, res in zip(job.values, chunk):
+            buf[start:stop] = res.values
+        if chunk_fp is not None:
+            self.store.put_arrays("sweep-chunk", chunk_fp, {
+                f"k{k}": res.values for k, res in enumerate(chunk)})
+
+    def finish(self, job: _SourceJob) -> list[SweepPoint]:
+        if job.points is not None:
+            return job.points
+        for future in job.futures:
+            future.result()
+        spec, ref = self.spec, job.ref
+        source_points = []
+        for p in spec.points:
+            acc = p.acc
+            approx = job.values[self.index[p.kernel_key()]]
             if spec.chunks > 1:
-                ref = ref.reshape(spec.batch, spec.chunks).sum(axis=1)
-            pa, pb = self.pack(aq, fmt), self.pack(bq, fmt)
-            shape = self._pair_shape(pa, pb)
-            values = [np.empty(spec.batch * spec.chunks) for _ in kernels]
-            for start, stop in self._block_spans(shape):
-                if cacheable:
-                    chunk_fp = _result_key({"sweep_chunk": operands_fp,
-                                            "kernels": kernel_descs,
-                                            "span": [start, stop]})
-                    arrays = store.get_arrays("sweep-chunk", chunk_fp)
-                    if arrays is not None and len(arrays) == len(kernels):
-                        for k, buf in enumerate(values):
-                            buf[start:stop] = arrays[f"k{k}"]
-                        continue
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise DeadlineExceeded(
-                        f"sweep {spec.name!r} ran out of its "
-                        f"{deadline_seconds}s budget before chunk "
-                        f"[{start}, {stop}) of source {source!r}")
-                chunk = self._run_points(_slab(pa, shape, start, stop),
-                                         _slab(pb, shape, start, stop), kernels)
-                for buf, res in zip(values, chunk):
-                    buf[start:stop] = res.values
-                if cacheable:
-                    store.put_arrays("sweep-chunk", chunk_fp, {
-                        f"k{k}": res.values for k, res in enumerate(chunk)})
-            source_points = []
-            for p in spec.points:
-                acc = p.acc
-                approx = values[index[p.kernel_key()]]
-                if spec.chunks > 1:
-                    approx = approx.reshape(spec.batch, spec.chunks).sum(axis=1)
-                approx = acc.round(approx)
-                ref_cast = ref
-                if acc.kind == "float" and acc.fmt_name == "fp16":
-                    ref_cast = ref.astype(np.float16).astype(np.float64)
-                source_points.append(SweepPoint(
-                    source, acc.name, p.adder_width,
-                    error_stats(approx, ref_cast, acc.error_format),
-                ))
-            if cacheable:
-                store.put_json("sweep-source", source_fp,
-                               {"points": sweep_points_to_dicts(source_points)})
-            result.points.extend(source_points)
-        return result
+                approx = approx.reshape(spec.batch, spec.chunks).sum(axis=1)
+            approx = acc.round(approx)
+            ref_cast = ref
+            if acc.kind == "float" and acc.fmt_name == "fp16":
+                ref_cast = ref.astype(np.float16).astype(np.float64)
+            source_points.append(SweepPoint(
+                job.source, acc.name, p.adder_width,
+                error_stats(approx, ref_cast, acc.error_format),
+            ))
+        if self.cacheable:
+            self.store.put_json("sweep-source", job.source_fp,
+                                {"points": sweep_points_to_dicts(source_points)})
+        return source_points

@@ -274,3 +274,66 @@ class TestRunnerBackend:
         spec.to_json(path)
         assert main(["--spec", str(path)]) == 0
         capsys.readouterr()
+
+
+# -- pipelined sweep ----------------------------------------------------------
+
+# Patches the kernel hook the way perfbench's golden pass does (five
+# positional args) and records every call; run in a child process so a
+# nested-pool deadlock fails the test on its timeout instead of hanging it.
+_GOLDEN_HOOK_SCRIPT = """\
+import json, threading
+from repro.api import EmulationSession, RunSpec
+from repro.api.executor import ThreadExecutor
+from repro.api.session import sweep_points_to_dicts
+
+spec = RunSpec.from_json("examples/specs/fig3_quick.json")
+calls, nested = [], []
+original = EmulationSession._run_points
+def sampled(session, pa, pb, points, engine=None):
+    results = original(session, pa, pb, points, engine)
+    calls.append([len(results[0].values), len(points),
+                  threading.current_thread().name])
+    return results
+run_points = ThreadExecutor.run_points
+def counted(self, *args, **kwargs):
+    nested.append(1)
+    return run_points(self, *args, **kwargs)
+EmulationSession._run_points = sampled
+ThreadExecutor.run_points = counted
+with EmulationSession(backend="thread", workers=2) as session:
+    sweep = session.sweep(spec)
+    tasks = session.stats.tasks_dispatched
+print(json.dumps({"calls": calls, "nested": len(nested), "tasks": tasks,
+                  "points": sweep_points_to_dicts(sweep.points)}))
+"""
+
+
+class TestPipelinedSweep:
+    def test_golden_hook_sees_every_cold_row_once(self):
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.api.session import sweep_points_to_dicts
+
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-c", _GOLDEN_HOOK_SCRIPT],
+                              cwd=root, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        out = json.loads(proc.stdout)
+        spec = RunSpec.from_json(root / "examples/specs/fig3_quick.json")
+        kernels = len({p.kernel_key() for p in spec.points})
+        # every chunk task entered the kernels through the hook, on the pool
+        assert out["tasks"] > 0 and len(out["calls"]) == out["tasks"]
+        assert sum(rows for rows, _, _ in out["calls"]) == \
+            len(spec.sources) * spec.batch * spec.chunks
+        assert all(n == kernels for _, n, _ in out["calls"])
+        assert all(name.startswith("repro-exec") for _, _, name in out["calls"])
+        assert out["nested"] == 0  # no pool task fanned out again
+        with EmulationSession() as serial:
+            assert out["points"] == sweep_points_to_dicts(serial.sweep(spec).points)

@@ -1,5 +1,7 @@
 """EmulationSession: weight-plan reuse, parallel bit-exactness, consumer parity."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,33 @@ class TestParallel:
         with EmulationSession(workers=4, backend=backend) as par:
             parallel = par.inner_product(a, w, 16)
         assert_results_equal(serial, parallel)
+
+    def test_shared_session_counts_exactly(self):
+        """Stats written from many threads at once lose no update: 4 threads
+        x 50 pooled ``run_kernels`` calls on one session."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        a, b = operands(batch=4096, n=4, seed=7)
+        pa, pb = pack_operands(a, FP16), pack_operands(b, FP16)
+        points = [KernelPoint(16)]
+
+        def calls():
+            for _ in range(50):
+                s.run_kernels(pa, pb, points)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often
+        try:
+            with EmulationSession(workers=2, backend="thread") as s, \
+                    ThreadPoolExecutor(4) as callers:
+                for future in [callers.submit(calls) for _ in range(4)]:
+                    future.result(timeout=120)
+                stats = s.snapshot()
+        finally:
+            sys.setswitchinterval(interval)
+        assert stats.kernel_rows == 4 * 50 * 4096
+        assert stats.parallel_batches == 4 * 50
+        assert stats.tasks_dispatched == 4 * 50 * 2
 
     def test_small_batches_stay_serial(self):
         a, b = operands(batch=16)

@@ -8,6 +8,7 @@ every time.
 
 import json
 import random
+import time
 
 import pytest
 
@@ -18,8 +19,8 @@ from repro.search import RungSpec, SearchSession, SearchSpace, SearchSpec
 from repro.service import ServiceServer, SweepService
 from repro.store import ResultStore
 
-# Big enough to engage the thread pool (rows >= MIN_PARALLEL_ROWS) while
-# staying a sub-second sweep: 2 sources x 1 block x 2 dispatched spans.
+# Big enough to engage the thread pool while staying a sub-second sweep:
+# 2 sources x 2 chunk tasks.
 SPEC = RunSpec.grid(name="chaos-recovery", precisions=(8, 16),
                     accumulators=("fp32",), sources=("laplace", "normal"),
                     batch=8192, n=16, seed=3)
@@ -36,7 +37,7 @@ def reference_points():
 
 
 def _random_local_plan(seed: int) -> FaultPlan:
-    """Corruption at random schedule positions (a local run has 4
+    """Corruption at random schedule positions (a local run has 6
     store.put calls and crosses no client or service site)."""
     rng = random.Random(seed)
     faults = [f"store-corrupt@put:{rng.randrange(4)}"]
@@ -134,6 +135,64 @@ class TestDeadlines:
         with EmulationSession() as session:
             with pytest.raises(DeadlineExceeded):
                 session.sweep(SMALL_SPEC, deadline_seconds=0.0)
+
+    # 2 sources x 12 chunk tasks of 200 rows on a 2-worker pool
+    CHUNKED_SPEC = RunSpec.grid(name="deadline-chunked", precisions=(8, 12),
+                                accumulators=("fp32",),
+                                sources=("laplace", "normal"),
+                                batch=2400, n=8, seed=4)
+
+    @staticmethod
+    def _thread_session(store, **kwargs):
+        return EmulationSession(backend="thread", workers=2, chunk_rows=200,
+                                store=store, **kwargs)
+
+    def test_thread_cold_sweep_with_no_budget_computes_nothing(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        with self._thread_session(store) as session:
+            with pytest.raises(DeadlineExceeded, match="budget"):
+                session.sweep(self.CHUNKED_SPEC, deadline_seconds=0.0)
+            assert session.stats.kernel_rows == 0
+        assert store.stats.puts == 0
+
+    def test_thread_sweep_interrupted_mid_source_resumes(self, tmp_path):
+        """The deadline elapses while the first chunks compute: those stay
+        stored, later tasks refuse to start, and the resume computes only
+        the rest, byte-identical to a serial cold run."""
+        store = ResultStore(tmp_path / "s")
+        session = self._thread_session(store)
+        real, calls = session._run_points, []
+
+        def slow(*args):
+            calls.append(1)
+            result = real(*args)
+            time.sleep(1.0)  # the 0.5 s budget runs out meanwhile
+            return result
+
+        session._run_points = slow
+        with pytest.raises(DeadlineExceeded, match="budget"):
+            session.sweep(self.CHUNKED_SPEC, deadline_seconds=0.5)
+        session.close()
+        total = 2 * 12
+        assert 1 <= len(calls) < total
+        assert store.stats.puts == len(calls)  # every finished chunk, no source
+
+        with self._thread_session(store) as session:
+            resumed = session.sweep(self.CHUNKED_SPEC)
+            assert session.stats.tasks_dispatched == total - len(calls)
+        with EmulationSession() as session:
+            assert resumed.points == session.sweep(self.CHUNKED_SPEC).points
+
+    def test_thread_warm_sweep_dispatches_nothing(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        with self._thread_session(store) as session:
+            cold = session.sweep(self.CHUNKED_SPEC)
+            assert session.stats.tasks_dispatched == 2 * 12
+        with self._thread_session(store) as session:
+            warm = session.sweep(self.CHUNKED_SPEC, deadline_seconds=0.0)
+            assert session.stats.tasks_dispatched == 0
+            assert session.stats.kernel_rows == 0
+        assert warm.points == cold.points
 
     @staticmethod
     def _search_spec():
