@@ -208,8 +208,9 @@ class FleetCoordinator:
                           for _ in self.endpoints]
         self._local_service = None
         self._stragglers: list[dict] = []
-        # per-endpoint counter keys and metric labels must be unique, and
-        # two default LocalEndpoints share one url: suffix "#<index>" there
+        # per-endpoint counter keys, metric labels and stats rows must be
+        # unique, and two default LocalEndpoints share one url: suffix
+        # "#<index>" there
         urls = [ep.url for ep in self.endpoints]
         self._endpoint_keys = [u if urls.count(u) == 1 else f"{u}#{i}"
                                for i, u in enumerate(urls)]
@@ -472,10 +473,9 @@ class FleetCoordinator:
             jobs = counts.pop("endpoint_jobs")
             return {
                 "endpoints": [
-                    {"url": ep.url, "jobs": jobs[key], "state": breaker.state,
+                    {"url": key, "jobs": jobs[key], "state": breaker.state,
                      "dead": breaker.state != CLOSED}
-                    for ep, key, breaker in zip(
-                        self.endpoints, self._endpoint_keys, self._breakers)],
+                    for key, breaker in zip(self._endpoint_keys, self._breakers)],
                 **counts,
                 "stragglers": list(self._stragglers),
             }

@@ -52,44 +52,57 @@ def im2col(
     is one receptive field — exactly the inner-product operand vector an
     IP-based convolution tile consumes. ``layout="npd"`` returns the
     transposed ``(N, Ho*Wo, C*kh*kw)`` arrangement directly, which the
-    emulated-IPU paths consume row-wise; producing it here costs one copy
-    instead of the copy-plus-transpose-copy a later ``moveaxis`` would.
+    emulated-IPU paths and the forward matmul consume row-wise; it is
+    gathered from a zero-padded channels-last copy of ``x``, so the big copy
+    moves channel runs rather than ``kw``-long pieces. ``layout="dnp"``
+    returns ``(C*kh*kw, N*Ho*Wo)``, one row per window offset across the
+    whole batch: the left operand of the weight-gradient matmul in
+    :func:`conv2d_backward`, built in one copy.
     """
     n, c, h, w = x.shape
     ho = conv_output_size(h, kh, stride, padding)
     wo = conv_output_size(w, kw, stride, padding)
+    as_strided = np.lib.stride_tricks.as_strided
+    if layout == "npd":
+        xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
+        xp[:, padding : padding + h, padding : padding + w] = x.transpose(0, 2, 3, 1)
+        sn, sh, sw, sc = xp.strides
+        view = as_strided(xp, (n, ho, wo, c, kh, kw),
+                          (sn, sh * stride, sw * stride, sc, sh, sw), writeable=False)
+        return view.reshape(n, ho * wo, c * kh * kw)
+    if layout not in ("ndp", "dnp"):
+        raise ValueError(f"unknown im2col layout {layout!r}")
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    # stride tricks view: (N, C, kh, kw, Ho, Wo)
-    s = x.strides
-    view = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, kh, kw, ho, wo),
-        strides=(s[0], s[1], s[2], s[3], s[2] * stride, s[3] * stride),
-        writeable=False,
-    )
-    if layout == "npd":
-        return view.transpose(0, 4, 5, 1, 2, 3).reshape(n, ho * wo, c * kh * kw)
-    if layout != "ndp":
-        raise ValueError(f"unknown im2col layout {layout!r}")
+    sn, sc, sh, sw = x.strides
+    view = as_strided(x, (n, c, kh, kw, ho, wo),
+                      (sn, sc, sh, sw, sh * stride, sw * stride), writeable=False)
+    if layout == "dnp":
+        return view.transpose(1, 2, 3, 0, 4, 5).reshape(c * kh * kw, n * ho * wo)
     return view.reshape(n, c * kh * kw, ho * wo)
 
 
 def col2im(
     cols: np.ndarray, x_shape: tuple[int, ...], kh: int, kw: int, stride: int, padding: int
 ) -> np.ndarray:
-    """Fold columns back, accumulating overlaps (adjoint of :func:`im2col`)."""
+    """Fold ``(N, C*kh*kw, Ho*Wo)`` columns back, accumulating overlaps
+    (adjoint of :func:`im2col`).
+
+    Every pixel adds its overlaps in window-offset ``(i, j)`` order. The
+    sums run in a channels-last buffer, which reads the channel-minor
+    columns of :func:`conv2d_backward` in runs; the result is the same
+    zero-padded NCHW array, cropped when ``padding`` is set.
+    """
     n, c, h, w = x_shape
     ho = conv_output_size(h, kh, stride, padding)
     wo = conv_output_size(w, kw, stride, padding)
-    hp, wp = h + 2 * padding, w + 2 * padding
-    out = np.zeros((n, c, hp, wp), dtype=cols.dtype)
+    acc = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=cols.dtype)
     cols6 = cols.reshape(n, c, kh, kw, ho, wo)
     for i in range(kh):
         for j in range(kw):
-            out[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += cols6[
-                :, :, i, j
-            ]
+            acc[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += (
+                cols6[:, :, i, j].transpose(0, 2, 3, 1))
+    out = acc.transpose(0, 3, 1, 2).copy()
     if padding:
         out = out[:, :, padding : padding + h, padding : padding + w]
     return out
@@ -102,6 +115,20 @@ def conv2d(
     """2-D convolution. ``x``: (N,C,H,W); ``weight``: (K,C,kh,kw).
 
     Returns ``(output, cache)`` where the cache feeds the backward pass.
+
+    The contractions here and in :func:`conv2d_backward` are the exact
+    ``np.matmul`` calls that ``np.einsum(..., optimize=True)`` makes for
+    ``"kd,ndp->nkp"``, ``"nkp,ndp->kd"`` and ``"kd,nkp->ndp"``: the same
+    operand order (einsum contracts a pair right to left), dtypes and 2-D
+    memory layouts, so BLAS runs the same kernel and the outputs match
+    einsum's in every bit and stride. A C- or F-ordered operand is a
+    different BLAS call and may round differently. The column operands are
+    gathered straight from the input rather than through einsum's second,
+    transposing copy, and the output keeps einsum's channels-last memory.
+    einsum drops a size-1 batch or output plane instead of fusing it, which
+    leaves its operand a transposed view; the ``n == 1`` and ``p == 1``
+    branches reproduce that. (With both, einsum's weight gradient is a plain
+    product: equal values, other strides.)
     """
     k, c, kh, kw = weight.shape
     if x.shape[1] != c:
@@ -109,25 +136,35 @@ def conv2d(
     n = x.shape[0]
     ho = conv_output_size(x.shape[2], kh, stride, padding)
     wo = conv_output_size(x.shape[3], kw, stride, padding)
-    cols = im2col(x, kh, kw, stride, padding)                # (N, C*kh*kw, Ho*Wo)
     wmat = weight.reshape(k, -1)                             # (K, C*kh*kw)
-    out = np.einsum("kd,ndp->nkp", wmat, cols, optimize=True)
+    if n == 1:
+        cols = im2col(x, kh, kw, stride, padding, "dnp").T    # (P, D), F-ordered
+    else:
+        cols = im2col(x, kh, kw, stride, padding, "npd").reshape(n * ho * wo, -1)
+    out = np.matmul(cols, wmat.T).reshape(n, ho * wo, k).transpose(0, 2, 1)
     if bias is not None:
         out += bias[None, :, None]
     out = out.reshape(n, k, ho, wo)
-    return out, (x.shape, cols, wmat, weight.shape, stride, padding)
+    return out, (x, wmat, weight.shape, stride, padding)
 
 
 def conv2d_backward(dout: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dx, dweight, dbias) of :func:`conv2d`."""
-    x_shape, cols, wmat, w_shape, stride, padding = cache
+    """Gradients (dx, dweight, dbias) of :func:`conv2d` (same matmul plan)."""
+    x, wmat, w_shape, stride, padding = cache
     n, k = dout.shape[0], dout.shape[1]
-    dmat = dout.reshape(n, k, -1)                            # (N, K, Ho*Wo)
-    dbias = dmat.sum(axis=(0, 2))
-    dw = np.einsum("nkp,ndp->kd", dmat, cols, optimize=True).reshape(w_shape)
-    dcols = np.einsum("kd,nkp->ndp", wmat, dmat, optimize=True)
     kh, kw = w_shape[2], w_shape[3]
-    dx = col2im(dcols, x_shape, kh, kw, stride, padding)
+    dmat = dout.reshape(n, k, -1)                            # (N, K, Ho*Wo)
+    p = dmat.shape[2]
+    dbias = dmat.sum(axis=(0, 2))
+    # (N*P, K), a view when dout is channels-last; both contractions share it
+    dpk = np.reshape(dmat.transpose(0, 2, 1), (n * p, k))
+    if p == 1:
+        cols = im2col(x, kh, kw, stride, padding, "npd").reshape(n, -1).T  # (D, N)
+    else:
+        cols = im2col(x, kh, kw, stride, padding, "dnp")     # (D, N*P)
+    dw = np.matmul(cols, dpk).T.reshape(w_shape)
+    dcols = np.matmul(dpk, wmat).reshape(n, p, -1).transpose(0, 2, 1)
+    dx = col2im(dcols, x.shape, kh, kw, stride, padding)
     return dx, dw, dbias
 
 

@@ -55,6 +55,12 @@ class Layer:
     def eval(self) -> "Layer":
         return self.train(False)
 
+    def _keep(self, cache) -> None:
+        """Hold a forward's ``cache`` for :meth:`backward` only while
+        training; an eval forward drops it, so inference keeps no backward
+        state between calls."""
+        self._cache = cache if self.training else None
+
 
 class Conv2d(Layer):
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
@@ -78,10 +84,11 @@ class Conv2d(Layer):
 
     def forward(self, x):
         self.last_input = x
-        out, self._cache = F.conv2d(
+        out, cache = F.conv2d(
             x, self.weight.data, None if self.bias is None else self.bias.data,
             self.stride, self.padding,
         )
+        self._keep(cache)
         return out
 
     def backward(self, dout):
@@ -106,7 +113,8 @@ class Linear(Layer):
         return [self.weight, self.bias]
 
     def forward(self, x):
-        out, self._cache = F.linear(x, self.weight.data, self.bias.data)
+        out, cache = F.linear(x, self.weight.data, self.bias.data)
+        self._keep(cache)
         return out
 
     def backward(self, dout):
@@ -118,7 +126,8 @@ class Linear(Layer):
 
 class ReLU(Layer):
     def forward(self, x):
-        out, self._cache = F.relu(x)
+        out, cache = F.relu(x)
+        self._keep(cache)
         return out
 
     def backward(self, dout):
@@ -137,10 +146,11 @@ class BatchNorm2d(Layer):
         return [self.gamma, self.beta]
 
     def forward(self, x):
-        out, self._cache = F.batch_norm(
+        out, cache = F.batch_norm(
             x, self.gamma.data, self.beta.data,
             self.running_mean, self.running_var, self.training,
         )
+        self._keep(cache)
         return out
 
     def backward(self, dout):
@@ -155,7 +165,8 @@ class MaxPool2d(Layer):
         self.kernel, self.stride = kernel, stride
 
     def forward(self, x):
-        out, self._cache = F.max_pool2d(x, self.kernel, self.stride)
+        out, cache = F.max_pool2d(x, self.kernel, self.stride)
+        self._keep(cache)
         return out
 
     def backward(self, dout):
@@ -167,7 +178,8 @@ class AvgPool2d(Layer):
         self.kernel, self.stride = kernel, stride
 
     def forward(self, x):
-        out, self._cache = F.avg_pool2d(x, self.kernel, self.stride)
+        out, cache = F.avg_pool2d(x, self.kernel, self.stride)
+        self._keep(cache)
         return out
 
     def backward(self, dout):
@@ -218,7 +230,7 @@ class Residual(Layer):
         self.main = main
         self.shortcut = shortcut
         self.relu = ReLU()
-        self.children = [main] + ([shortcut] if shortcut is not None else [])
+        self.children = [main] + ([shortcut] if shortcut is not None else []) + [self.relu]
 
     def parameters(self):
         ps = self.main.parameters()

@@ -100,6 +100,8 @@ class TestFanOut:
             direct = _direct_payload(reference_service, SPEC, "sweep")
             assert json.dumps(merged, sort_keys=True) == \
                    json.dumps(direct, sort_keys=True)
+            urls = [row["url"] for row in coordinator.stats()["endpoints"]]
+            assert len(set(urls)) == 2, urls
         finally:
             a.close()
             b.close()

@@ -1,10 +1,17 @@
-"""NumPy DNN ops: forward correctness vs scipy, backward vs numerical grads."""
+"""NumPy DNN ops: forward correctness vs scipy, backward vs numerical grads,
+and the conv matmul plan bit for bit against the einsum formulas."""
+
+import hashlib
 
 import numpy as np
 import pytest
 from scipy import signal
 
 import repro.nn.functional as F
+from repro.nn.datasets import make_pattern_dataset
+from repro.nn.layers import BatchNorm2d
+from repro.nn.models import tiny_convnet, tiny_resnet
+from repro.nn.training import capture_backward_tensors, train
 
 
 def numgrad(f, x, eps=1e-3):
@@ -76,6 +83,139 @@ class TestConvBackward:
         assert np.allclose(db, dout.sum(axis=(0, 2, 3)))
 
 
+def fold_reference(cols, x_shape, kh, kw, stride, padding):
+    """col2im as a plain NCHW scatter-add, overlaps in (i, j) order."""
+    n, c, h, w = x_shape
+    ho = F.conv_output_size(h, kh, stride, padding)
+    wo = F.conv_output_size(w, kw, stride, padding)
+    out = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    cols6 = cols.reshape(n, c, kh, kw, ho, wo)
+    for i in range(kh):
+        for j in range(kw):
+            out[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += cols6[:, :, i, j]
+    if padding:
+        out = out[:, :, padding : padding + h, padding : padding + w]
+    return out
+
+
+def einsum_conv2d(x, weight, bias=None, stride=1, padding=0):
+    """The oracle: conv2d as the einsum formulas the matmul plan replaces."""
+    k, c, kh, kw = weight.shape
+    ho = F.conv_output_size(x.shape[2], kh, stride, padding)
+    wo = F.conv_output_size(x.shape[3], kw, stride, padding)
+    cols = F.im2col(x, kh, kw, stride, padding)              # (N, D, P)
+    wmat = weight.reshape(k, -1)
+    out = np.einsum("kd,ndp->nkp", wmat, cols, optimize=True)
+    if bias is not None:
+        out += bias[None, :, None]
+    return out.reshape(x.shape[0], k, ho, wo), (x.shape, cols, wmat, weight.shape, stride, padding)
+
+
+def einsum_conv2d_backward(dout, cache):
+    x_shape, cols, wmat, w_shape, stride, padding = cache
+    n, k = dout.shape[0], dout.shape[1]
+    dmat = dout.reshape(n, k, -1)
+    dw = np.einsum("nkp,ndp->kd", dmat, cols, optimize=True).reshape(w_shape)
+    dcols = np.einsum("kd,nkp->ndp", wmat, dmat, optimize=True)
+    dx = fold_reference(dcols, x_shape, w_shape[2], w_shape[3], stride, padding)
+    return dx, dw, dmat.sum(axis=(0, 2))
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype
+    assert got.strides == want.strides
+    assert np.array_equal(got, want)
+
+
+# (C, K, H, kernel, stride, padding) of the tiny models' conv layers
+LAYER_SHAPES = {
+    "stem-c3": (3, 16, 16, 3, 1, 1),
+    "3x3s1-k16": (16, 16, 16, 3, 1, 1),
+    "3x3s1-k32": (32, 32, 8, 3, 1, 1),
+    "3x3s1-k64": (64, 64, 4, 3, 1, 1),
+    "3x3s2-k32": (16, 32, 16, 3, 2, 1),
+    "3x3s2-k64": (32, 64, 8, 3, 2, 1),
+    "1x1s2-k32": (16, 32, 16, 1, 2, 0),
+    "1x1s2-k64": (32, 64, 8, 1, 2, 0),
+}
+
+
+class TestEinsumPlan:
+    """conv2d/conv2d_backward make einsum's own matmul calls: every output
+    matches the einsum oracle in value, dtype and strides."""
+
+    @pytest.mark.parametrize("batch", [1, 12, 32, 64])
+    @pytest.mark.parametrize("layer", sorted(LAYER_SHAPES))
+    @pytest.mark.parametrize("x_dtype, w_dtype", [
+        (np.float32, np.float32), (np.float32, np.float64), (np.float64, np.float64)])
+    def test_matches_einsum_oracle(self, layer, batch, x_dtype, w_dtype):
+        c, k, h, kernel, stride, padding = LAYER_SHAPES[layer]
+        rng = np.random.default_rng(batch)
+        # channels-last memory, as BN/ReLU pass a conv output on, for batches
+        # 12 and 64; plain NCHW, as images and pooled maps arrive, for 1 and 32
+        x = rng.normal(size=(batch, h, h, c)).astype(x_dtype).transpose(0, 3, 1, 2)
+        if batch in (1, 32):
+            x = np.ascontiguousarray(x)
+        w = rng.normal(size=(k, c, kernel, kernel)).astype(w_dtype)
+        out, cache = F.conv2d(x, w, stride=stride, padding=padding)
+        want_out, want_cache = einsum_conv2d(x, w, stride=stride, padding=padding)
+        assert_same_array(out, want_out)
+        dout = rng.normal(size=out.shape).astype(out.dtype)
+        for got, want in zip(F.conv2d_backward(dout, cache),
+                             einsum_conv2d_backward(dout, want_cache)):
+            assert_same_array(got, want)
+
+    @pytest.mark.parametrize("x_shape, kernel, stride, padding", [
+        ((2, 3, 7, 5), 3, 1, 1), ((3, 4, 8, 8), 3, 2, 1), ((2, 2, 6, 6), 1, 2, 0),
+        ((8, 1, 8, 8), 2, 2, 0)])  # the last is a pooling fold
+    def test_col2im_matches_reference_fold(self, x_shape, kernel, stride, padding):
+        cols = F.im2col(np.random.default_rng(0).normal(size=x_shape),
+                        kernel, kernel, stride, padding)
+        for c in (cols, cols.transpose(0, 2, 1).copy().transpose(0, 2, 1)):
+            assert_same_array(F.col2im(c, x_shape, kernel, kernel, stride, padding),
+                              fold_reference(c, x_shape, kernel, kernel, stride, padding))
+
+    @pytest.mark.parametrize("build", [tiny_convnet, tiny_resnet])
+    def test_short_training_matches_einsum_oracle(self, build, monkeypatch):
+        """A few batches, with a 12-image tail, train to the same bytes."""
+        # 52 samples split 44/8: one 32-image batch and a 12-image tail
+        dataset = make_pattern_dataset(n_samples=52, rng=3)
+
+        def run():
+            model = build(rng=4)
+            result = train(model, dataset, epochs=2, rng=5)
+            digest = hashlib.sha256()
+            for p in model.parameters():
+                digest.update(p.data.tobytes())
+            stack = [model]
+            while stack:
+                layer = stack.pop()
+                if isinstance(layer, BatchNorm2d):
+                    digest.update(layer.running_mean.tobytes() + layer.running_var.tobytes())
+                stack.extend(getattr(layer, "children", []))
+            return digest.hexdigest(), result
+
+        got = run()
+        monkeypatch.setattr(F, "conv2d", einsum_conv2d)
+        monkeypatch.setattr(F, "conv2d_backward", einsum_conv2d_backward)
+        assert got == run()
+
+    def test_capture_backward_tensors_match_einsum_oracle(self, monkeypatch):
+        dataset = make_pattern_dataset(n_samples=12, rng=6)
+
+        def run():
+            model = tiny_resnet(rng=7)
+            captured = capture_backward_tensors(model, dataset.images, dataset.labels)
+            return [(t["input"], t["grad_output"]) for t in captured]
+
+        got = run()
+        monkeypatch.setattr(F, "conv2d", einsum_conv2d)
+        monkeypatch.setattr(F, "conv2d_backward", einsum_conv2d_backward)
+        for pair, want_pair in zip(got, run(), strict=True):
+            for a, b in zip(pair, want_pair):
+                assert_same_array(a, b)
+
+
 class TestIm2col:
     def test_round_trip_counts_overlaps(self):
         x = np.ones((1, 1, 4, 4))
@@ -90,6 +230,21 @@ class TestIm2col:
         cols = F.im2col(x, 2, 2, 1, 0)
         assert cols.shape == (1, 4, 9)
         np.testing.assert_array_equal(cols[0, :, 0], [0, 1, 4, 5])
+
+    @pytest.mark.parametrize("stride, padding", [(1, 1), (2, 0), (2, 1)])
+    def test_layouts_hold_the_same_windows(self, stride, padding):
+        x = np.random.default_rng(7).normal(size=(3, 2, 6, 5))
+        ndp = F.im2col(x, 3, 3, stride, padding)
+        npd = F.im2col(x, 3, 3, stride, padding, layout="npd")
+        dnp = F.im2col(x, 3, 3, stride, padding, layout="dnp")
+        n, d, p = ndp.shape
+        assert npd.flags.c_contiguous and dnp.flags.c_contiguous
+        np.testing.assert_array_equal(npd, ndp.transpose(0, 2, 1))
+        np.testing.assert_array_equal(dnp, ndp.transpose(1, 0, 2).reshape(d, n * p))
+
+    def test_unknown_layout_rejected(self):
+        with pytest.raises(ValueError):
+            F.im2col(np.zeros((1, 1, 4, 4)), 2, 2, 1, 0, layout="pnd")
 
 
 class TestPooling:

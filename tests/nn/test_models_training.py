@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.datasets import make_blob_dataset, make_pattern_dataset
-from repro.nn.layers import Conv2d, ReLU, Sequential
+from repro.nn.layers import Conv2d, Layer, ReLU, Sequential
 from repro.nn.models import model_conv_layers, tiny_convnet, tiny_resnet
 from repro.nn.quantize import calibrate, dequantize, fake_quantize, fake_quantize_fp, quantize
 from repro.nn.training import SGD, capture_backward_tensors, evaluate_accuracy, train
@@ -65,6 +65,24 @@ class TestModels:
         logits = model(x)
         dx = model.backward(np.ones_like(logits))
         assert dx.shape == x.shape
+
+    @pytest.mark.parametrize("build", [tiny_convnet, tiny_resnet])
+    def test_eval_forward_keeps_no_backward_cache(self, build):
+        def layers(layer):
+            yield layer
+            for value in vars(layer).values():
+                for child in value if isinstance(value, list) else [value]:
+                    if isinstance(child, Layer):
+                        yield from layers(child)
+
+        model = build(rng=0)
+        x = np.random.default_rng(0).normal(size=(2, 3, 16, 16)).astype(np.float32)
+        model(x)
+        assert any(getattr(layer, "_cache", None) is not None for layer in layers(model))
+        model.eval()
+        model(x)
+        assert all(getattr(layer, "_cache", None) is None for layer in layers(model))
+        assert all(conv.last_input is not None for conv in model_conv_layers(model))
 
     def test_residual_gradient_flow(self):
         """Both the main path and the shortcut receive gradients."""
