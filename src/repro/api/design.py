@@ -32,7 +32,7 @@ import re
 import threading
 from concurrent.futures import Future
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,7 +165,10 @@ class DesignReport:
             "power_int_w": self.power_int_w,
             "power_fp_w": self.power_fp_w,
             "alignment_factor": self.alignment_factor,
-            "efficiency": [None if e is None else asdict(e) for e in self.efficiency],
+            # scalar fields: a shallow copy encodes like asdict, without
+            # its deep copy
+            "efficiency": [None if e is None else dict(vars(e))
+                           for e in self.efficiency],
             "accuracy": sweep_points_to_dicts(self.accuracy),
         }
 

@@ -27,7 +27,7 @@ import copy
 import threading
 import time
 from concurrent.futures import wait
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,10 +82,15 @@ class SessionStats(ExecutorStats):
 
 
 def sweep_points_to_dicts(points) -> list[dict]:
-    """JSON-safe encoding of :class:`SweepPoint` lists (store/service wire)."""
+    """JSON-safe encoding of :class:`SweepPoint` lists (store/service wire).
+
+    ``stats`` holds scalars only, so a shallow copy of its fields gives
+    ``dataclasses.asdict``'s keys, order and values without its deep copy
+    (which cost more than a warm sweep's store reads).
+    """
     return [
         {"source": p.source, "acc_fmt": p.acc_fmt, "precision": p.precision,
-         "stats": asdict(p.stats)}
+         "stats": dict(vars(p.stats))}
         for p in points
     ]
 
@@ -453,10 +458,12 @@ class EmulationSession:
         served before any task is queued. A killed sweep re-run against the
         same store replays only the missing chunks; a warm re-run queues no
         task at all. An explicit ``rng`` disables persistence (generator
-        state has no stable fingerprint). Results are bit-identical with and
-        without a store: operands are always re-sampled (keeping the
-        cross-source generator state exact) and float64 values round-trip
-        the codecs exactly.
+        state has no stable fingerprint). Every source's whole-source entry
+        is looked up once, before the first source starts. A stored source
+        draws its operands only when some source after it is not stored, to
+        keep the shared generator's state exact for that source; a fully
+        warm sweep draws no operands at all. Results are bit-identical with
+        and without a store: float64 values round-trip the codecs exactly.
 
         ``deadline_seconds`` bounds the *computing* this call may start: each
         chunk task checks the deadline when it starts, not when it is queued
@@ -515,8 +522,9 @@ class _SourceJob:
 class _SweepRun:
     """The state of one :meth:`EmulationSession.sweep` call.
 
-    :meth:`start` samples, references and packs a source and queues its
-    cold chunks on the session's executor; :meth:`finish` awaits them and
+    :meth:`start` serves a stored source, or samples, references and packs
+    it and queues its cold chunks on the session's executor (a stored source
+    is sampled too while a cold one lies ahead); :meth:`finish` awaits them and
     turns the values into error statistics. The sweep starts source *s+1*
     before it finishes source *s*, so the parent's serial work overlaps the
     pool's kernels; operands are still drawn from the one generator in
@@ -535,12 +543,6 @@ class _SweepRun:
         self.dtype = np_float_dtype(self.fmt)
         self.rng = as_generator(spec.seed if rng is None else rng)
         self.spec_fp = spec.fingerprint() if self.cacheable else None
-        # chunk entries are keyed below the *kernel* grid (accumulator-only
-        # point variants share them), so drop the fields they don't depend on
-        if self.cacheable:
-            self.operand_dict = spec.to_dict()
-            for field in ("name", "executor", "points"):
-                self.operand_dict.pop(field, None)
         self.kernels, self.index = _dedup_kernels(spec.points)
         # the stored chunk payloads are exact register values, which are
         # accumulator-independent (write-back happens after the store), so
@@ -548,21 +550,41 @@ class _SweepRun:
         # spec variants would store byte-identical payloads twice
         self.kernel_descs = [[k.adder_width, k.software_precision, k.multi_cycle]
                              for k in self.kernels]
+        # probe every source's whole-source entry once, up front: only
+        # sources at or before the last cold one need operands
+        self.source_fps = [None] * len(spec.sources)
+        self.hits = [None] * len(spec.sources)
+        if self.cacheable:
+            for i, source in enumerate(spec.sources):
+                self.source_fps[i] = _result_key({"sweep_source": self.spec_fp,
+                                                  "index": i, "source": source})
+                self.hits[i] = store.get_json("sweep-source", self.source_fps[i])
+        self.last_cold = max((i for i, hit in enumerate(self.hits) if hit is None),
+                             default=-1)
+        # chunk entries are keyed below the *kernel* grid (accumulator-only
+        # point variants share them), so drop the fields they don't depend on
+        if self.cacheable and self.last_cold >= 0:
+            self.operand_dict = spec.to_dict()
+            for field in ("name", "executor", "points"):
+                self.operand_dict.pop(field, None)
 
     def start(self, src_index: int, source: str) -> _SourceJob:
         spec, store, session = self.spec, self.store, self.session
-        # always sample (even on a store hit): sources share one generator,
-        # so skipping would shift every later source's operands
-        a, b = _operands_for(source, spec.batch * spec.chunks, spec.n, self.rng)
-        source_fp = operands_fp = None
+        hit = self.hits[src_index]
+        if src_index <= self.last_cold:
+            # a cold source lies at or after this one: sample even a stored
+            # source, because the sources share one generator and skipping
+            # would shift the cold source's operands. Past the last cold
+            # source the draws would feed nothing: the generator is the
+            # sweep's own and is dropped when it returns.
+            a, b = _operands_for(source, spec.batch * spec.chunks, spec.n, self.rng)
+        if hit is not None:
+            job = _SourceJob(source, None)
+            job.points = sweep_points_from_dicts(hit["points"])
+            return job
+        source_fp = self.source_fps[src_index]
+        operands_fp = None
         if self.cacheable:
-            source_fp = _result_key({"sweep_source": self.spec_fp,
-                                     "index": src_index, "source": source})
-            hit = store.get_json("sweep-source", source_fp)
-            if hit is not None:
-                job = _SourceJob(source, None)
-                job.points = sweep_points_from_dicts(hit["points"])
-                return job
             operands_fp = _result_key({"sweep_operands": self.operand_dict,
                                        "index": src_index, "source": source})
         job = _SourceJob(source, source_fp)

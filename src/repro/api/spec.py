@@ -110,7 +110,9 @@ class PrecisionPoint:
         return (self.adder_width, self.software_precision, self.multi_cycle)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # scalar fields: a shallow copy encodes like asdict, without its
+        # deep copy (this runs for every fingerprint)
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, d: dict) -> "PrecisionPoint":
@@ -202,9 +204,12 @@ class RunSpec:
     # -- JSON round trip ---------------------------------------------------
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        # asdict's encoding, field by field, without its deep copy
+        d = dict(vars(self))
         d["sources"] = list(self.sources)
         d["points"] = [p.to_dict() for p in self.points]
+        if self.executor is not None:
+            d["executor"] = self.executor.to_dict()
         return d
 
     @classmethod

@@ -185,8 +185,10 @@ def linear_backward(dout: np.ndarray, cache: tuple):
 
 
 def relu(x: np.ndarray):
+    # the mask in x's dtype, so relu_backward's product needs no cast
+    # (the products equal a bool mask's, signed zeros included)
     out = np.maximum(x, 0)
-    return out, (x > 0)
+    return out, (x > 0).astype(x.dtype)
 
 
 def relu_backward(dout: np.ndarray, cache: np.ndarray) -> np.ndarray:

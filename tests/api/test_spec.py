@@ -1,6 +1,7 @@
 """PrecisionPoint / RunSpec: JSON round trips and validation."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -63,6 +64,17 @@ class TestRunSpec:
     def test_dict_round_trip(self):
         spec = self.spec()
         assert RunSpec.from_dict(spec.to_dict()) == spec
+
+    @pytest.mark.parametrize("executor", [None, {"backend": "thread", "workers": 2}])
+    def test_encoding_equals_asdict_bytes(self, executor):
+        """to_dict skips asdict's deep copy, not a key or byte: every store
+        key and coalescing fingerprint is a hash of these bytes."""
+        spec = RunSpec.from_dict({**self.spec().to_dict(), "executor": executor})
+        want = asdict(spec)
+        want["sources"] = list(spec.sources)
+        want["points"] = [asdict(p) for p in spec.points]
+        assert json.dumps(spec.to_dict()) == json.dumps(want)
+        assert json.dumps(spec.points[0].to_dict()) == json.dumps(want["points"][0])
 
     def test_json_string_round_trip(self):
         spec = self.spec()

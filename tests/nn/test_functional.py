@@ -121,6 +121,25 @@ def einsum_conv2d_backward(dout, cache):
     return dx, dw, dmat.sum(axis=(0, 2))
 
 
+def short_training_digest(build):
+    """Two epochs of training: sha256 of the weights and BN running stats,
+    plus the training result."""
+    # 52 samples split 44/8: one 32-image batch and a 12-image tail
+    dataset = make_pattern_dataset(n_samples=52, rng=3)
+    model = build(rng=4)
+    result = train(model, dataset, epochs=2, rng=5)
+    digest = hashlib.sha256()
+    for p in model.parameters():
+        digest.update(p.data.tobytes())
+    stack = [model]
+    while stack:
+        layer = stack.pop()
+        if isinstance(layer, BatchNorm2d):
+            digest.update(layer.running_mean.tobytes() + layer.running_var.tobytes())
+        stack.extend(getattr(layer, "children", []))
+    return digest.hexdigest(), result
+
+
 def assert_same_array(got, want):
     assert got.dtype == want.dtype
     assert got.strides == want.strides
@@ -178,27 +197,10 @@ class TestEinsumPlan:
     @pytest.mark.parametrize("build", [tiny_convnet, tiny_resnet])
     def test_short_training_matches_einsum_oracle(self, build, monkeypatch):
         """A few batches, with a 12-image tail, train to the same bytes."""
-        # 52 samples split 44/8: one 32-image batch and a 12-image tail
-        dataset = make_pattern_dataset(n_samples=52, rng=3)
-
-        def run():
-            model = build(rng=4)
-            result = train(model, dataset, epochs=2, rng=5)
-            digest = hashlib.sha256()
-            for p in model.parameters():
-                digest.update(p.data.tobytes())
-            stack = [model]
-            while stack:
-                layer = stack.pop()
-                if isinstance(layer, BatchNorm2d):
-                    digest.update(layer.running_mean.tobytes() + layer.running_var.tobytes())
-                stack.extend(getattr(layer, "children", []))
-            return digest.hexdigest(), result
-
-        got = run()
+        got = short_training_digest(build)
         monkeypatch.setattr(F, "conv2d", einsum_conv2d)
         monkeypatch.setattr(F, "conv2d_backward", einsum_conv2d_backward)
-        assert got == run()
+        assert got == short_training_digest(build)
 
     def test_capture_backward_tensors_match_einsum_oracle(self, monkeypatch):
         dataset = make_pattern_dataset(n_samples=12, rng=6)
@@ -214,6 +216,23 @@ class TestEinsumPlan:
         for pair, want_pair in zip(got, run(), strict=True):
             for a, b in zip(pair, want_pair):
                 assert_same_array(a, b)
+
+
+class TestReluMask:
+    def test_mask_is_in_the_input_dtype(self):
+        for dtype in (np.float32, np.float64):
+            x = np.array([-1.0, -0.0, 0.0, 2.0, np.nan], dtype)
+            out, mask = F.relu(x)
+            assert mask.dtype == dtype
+            assert mask.tolist() == [0.0, 0.0, 0.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("build", [tiny_convnet, tiny_resnet])
+    def test_short_training_matches_bool_mask_oracle(self, build, monkeypatch):
+        """The float mask trains to the bytes a bool mask trained to."""
+        got = short_training_digest(build)
+        monkeypatch.setattr(F, "relu", lambda x: (np.maximum(x, 0), x > 0))
+        monkeypatch.setattr(F, "relu_backward", lambda dout, mask: dout * mask)
+        assert got == short_training_digest(build)
 
 
 class TestIm2col:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,8 @@ from repro.api import (
     RunSpec,
 )
 from repro.api.design import DesignReport
+from repro.api.session import sweep_points_to_dicts
+from repro.service import SweepService
 from repro.store import ResultStore, fingerprint
 
 QUICK_SPEC = Path(__file__).resolve().parents[2] / "examples" / "specs" / "fig3_quick.json"
@@ -411,6 +414,88 @@ class TestStoreBackedSweeps:
             session.sweep(SPEC)
 
 
+THREE = RunSpec(name="three", sources=("laplace", "normal", "uniform"),
+                points=(PrecisionPoint(12), PrecisionPoint(16)),
+                batch=400, n=8, seed=5)
+
+
+class TestWarmSweepsDrawNoOperands:
+    """A source is sampled only while some source at or after it is cold."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        with EmulationSession() as session:
+            return session.sweep(THREE)
+
+    @pytest.fixture
+    def sampled(self, monkeypatch):
+        """The sources whose operands the sweep draws, in draw order."""
+        import repro.api.session as session_module
+
+        calls, real = [], session_module._operands_for
+
+        def counting(source, *args):
+            calls.append(source)
+            return real(source, *args)
+
+        monkeypatch.setattr(session_module, "_operands_for", counting)
+        return calls
+
+    def test_fully_warm_sweep_samples_nothing(self, tmp_path, reference,
+                                              sampled):
+        with EmulationSession(store=tmp_path / "w") as session:
+            session.sweep(THREE)
+        assert sampled == list(THREE.sources)
+        sampled.clear()
+        store = ResultStore(tmp_path / "w")
+        with EmulationSession(store=store) as session:
+            warm = session.sweep(THREE)
+        assert sampled == []
+        assert warm.points == reference.points
+        # still exactly one sweep-source read per source, all hits
+        assert (store.stats.hits, store.stats.misses) == (len(THREE.sources), 0)
+
+    @pytest.mark.parametrize("dropped", [0, 1, 2])
+    def test_partially_warm_sweep_samples_up_to_the_cold_source(
+            self, tmp_path, reference, sampled, dropped):
+        store = ResultStore(tmp_path / "p")
+        with EmulationSession(store=store) as session:
+            session.sweep(THREE)
+        source_fp = fingerprint({"sweep_source": THREE.fingerprint(),
+                                 "index": dropped,
+                                 "source": THREE.sources[dropped]})
+        store._path("sweep-source", source_fp, ".json").unlink()
+        sampled.clear()
+        with EmulationSession(store=store) as session:
+            got = session.sweep(THREE)
+        assert sampled == list(THREE.sources[:dropped + 1])
+        assert got.points == reference.points
+
+    def test_explicit_rng_samples_every_source(self, tmp_path, reference,
+                                               sampled):
+        with EmulationSession(store=tmp_path / "r") as session:
+            session.sweep(THREE)
+            sampled.clear()
+            got = session.sweep(THREE, rng=THREE.seed)
+        assert sampled == list(THREE.sources)
+        assert got.points == reference.points
+
+    def test_repeated_service_sweep_job_samples_nothing(self, tmp_path,
+                                                        sampled):
+        service = SweepService(store=tmp_path / "svc")
+        try:
+            first, _ = service.submit("sweep", THREE.to_dict())
+            assert first.done.wait(60) and first.status == "done"
+            sampled.clear()
+            again, coalesced = service.submit("sweep", THREE.to_dict())
+            assert not coalesced
+            assert again.done.wait(60) and again.status == "done"
+        finally:
+            service.close()
+        assert sampled == []
+        assert again.result["points"] == first.result["points"]
+
+
 class TestStoreBackedDesignSession:
     SPEC = DesignSweepSpec.grid(name="grid", designs=("MC-IPU4", "INT8"),
                                 tiles=("small",), samples=24, rng=41)
@@ -425,6 +510,27 @@ class TestStoreBackedDesignSession:
             clone = DesignReport.from_dict(
                 json.loads(json.dumps(report.to_dict())))
             assert clone == report
+
+    def test_encoding_equals_asdict_bytes(self, reference):
+        """The wire encoding skips asdict's deep copy, not a key or byte."""
+        def asdict_points(points):
+            return [{"source": p.source, "acc_fmt": p.acc_fmt,
+                     "precision": p.precision, "stats": asdict(p.stats)}
+                    for p in points]
+
+        assert any(report.accuracy for report in reference)
+        assert any(e is not None for report in reference
+                   for e in report.efficiency)
+        for report in reference:
+            want = {**report.to_dict(),
+                    "efficiency": [None if e is None else asdict(e)
+                                   for e in report.efficiency],
+                    "accuracy": asdict_points(report.accuracy)}
+            assert json.dumps(report.to_dict()) == json.dumps(want)
+        with EmulationSession() as session:
+            points = session.sweep(SPEC).points
+        assert (json.dumps(sweep_points_to_dicts(points))
+                == json.dumps(asdict_points(points)))
 
     def test_cold_warm_and_pool_hits(self, tmp_path, reference):
         with DesignSession(store=tmp_path / "d") as session:
