@@ -20,7 +20,7 @@ produced the same bits.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.fp.registry import AccumulatorSpec, parse_accumulator, parse_format
@@ -398,8 +398,10 @@ class DesignPoint:
         geometry's stored report.
         """
         d = self.to_dict()
-        d["design_resolved"] = asdict(self.design.resolve())
-        d["tile_resolved"] = asdict(self.tile.resolve())
+        # Design/TileConfig hold only scalars: a shallow copy encodes like
+        # asdict, without its deep copy (this runs on every report lookup)
+        d["design_resolved"] = dict(vars(self.design.resolve()))
+        d["tile_resolved"] = dict(vars(self.tile.resolve()))
         return _result_fingerprint("design_point", d)
 
 

@@ -195,6 +195,8 @@ def _replay_fleet(args) -> Result:
         raise _Fail(f"cannot load spec {path!r}: {exc}")
     except (FleetError, ServiceError) as exc:
         raise _Fail(f"fleet error: {exc}")
+    finally:
+        coordinator.close()
     stats = coordinator.stats()
     if stats["shards_local"]:
         print(f"fleet degraded: {stats['shards_local']} shard(s) ran locally "
@@ -227,6 +229,9 @@ def _search(args) -> Result:
             result = session.run(spec)
     except (FleetError, ServiceError) as exc:
         raise _Fail(f"fleet error: {exc}")
+    finally:
+        if fleet is not None:
+            fleet.close()
     stats = asdict(session.stats)
     return Result(render_search(result), "search",
                   f"{args.search} rungs={stats['rungs_total']} resumed="

@@ -180,6 +180,10 @@ class FleetCoordinator:
     health-probed rejoin attempt. ``local_fallback=False`` restores the
     pre-chaos behavior of raising :class:`FleetError` when every endpoint
     is down.
+
+    One dispatch thread pool (built on the first sweep) and each HTTP
+    endpoint's keep-alive connections serve every sweep of the
+    coordinator's lifetime; :meth:`close` releases them.
     """
 
     def __init__(self, endpoints, shards: int | None = None,
@@ -207,6 +211,7 @@ class FleetCoordinator:
         self._breakers = [CircuitBreaker(cooldown=breaker_cooldown)
                           for _ in self.endpoints]
         self._local_service = None
+        self._pool: ThreadPoolExecutor | None = None
         self._stragglers: list[dict] = []
         # per-endpoint counter keys, metric labels and stats rows must be
         # unique, and two default LocalEndpoints share one url: suffix
@@ -221,6 +226,17 @@ class FleetCoordinator:
             labels={"instance": REGISTRY.next_instance("fleet")})
 
     # -- dispatch ----------------------------------------------------------
+
+    def _shard_pool(self) -> ThreadPoolExecutor:
+        """The dispatch pool, built on first use and kept until
+        :meth:`close`: its threads (and the endpoints' pooled connections)
+        serve every later sweep instead of being rebuilt per call."""
+        with self._lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=4 * len(self.endpoints),
+                    thread_name_prefix="fleet-shard")
+            return self._pool
 
     def run(self, spec, kind: str | None = None) -> dict:
         """Shard ``spec`` (object / dict / JSON string / path, either
@@ -243,10 +259,7 @@ class FleetCoordinator:
                 durations[shard.index] = time.monotonic() - t0
                 return payload
 
-            with ThreadPoolExecutor(
-                    max_workers=min(len(plan.shards), 4 * len(self.endpoints)),
-                    thread_name_prefix="fleet-shard") as pool:
-                payloads = list(pool.map(run_one, plan.shards))
+            payloads = list(self._shard_pool().map(run_one, plan.shards))
             self._note_stragglers(plan, durations, time.monotonic() - started)
             return plan.merge_payloads(payloads)
 
@@ -279,10 +292,7 @@ class FleetCoordinator:
                     return self._cached_dispatch(kind, i, parsed[i],
                                                  timeout=timeout)
 
-            with ThreadPoolExecutor(
-                    max_workers=min(len(parsed), 4 * len(self.endpoints)),
-                    thread_name_prefix="fleet-spec") as pool:
-                return list(pool.map(run_one, range(len(parsed))))
+            return list(self._shard_pool().map(run_one, range(len(parsed))))
 
     # -- store cache -------------------------------------------------------
 
@@ -429,10 +439,17 @@ class FleetCoordinator:
         return payload
 
     def close(self) -> None:
-        """Release the local-fallback service's worker threads (no-op when
-        degradation never engaged)."""
+        """Stop the dispatch pool's threads, close the HTTP endpoints' idle
+        connections and release the local-fallback service. The
+        coordinator stays usable: the next sweep rebuilds what it needs."""
         with self._lock:
+            pool, self._pool = self._pool, None
             service, self._local_service = self._local_service, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+        for endpoint in self.endpoints:
+            if isinstance(endpoint, ServiceClient):
+                endpoint.close()
         if service is not None:
             service.close()
 

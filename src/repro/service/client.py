@@ -1,6 +1,6 @@
 """Thin stdlib client for the sweep service (see :mod:`repro.service.server`).
 
-Speaks the service's JSON API over :mod:`urllib.request` — no dependency
+Speaks the service's JSON API over :mod:`http.client` — no dependency
 beyond the standard library, so any consumer (CI, a notebook, another
 service) can submit sweeps without importing the emulation stack::
 
@@ -10,6 +10,15 @@ service) can submit sweeps without importing the emulation stack::
     result = client.run("examples/specs/fig3_quick.json")  # submit + wait
     print(result["rendered"])            # byte-identical to `runner --spec`
     print(client.stats()["coalesced"])   # service-side observability
+
+Requests reuse HTTP/1.1 keep-alive connections: each client holds a small
+lock-guarded pool of idle connections to its endpoint, shared by every
+thread that calls it, so a warm submit + long-poll costs two round trips
+and no TCP handshakes. A connection is dropped when the response says
+``Connection: close`` or the request fails; :meth:`ServiceClient.close`
+closes the idle ones. A reused connection the server closed while it sat
+idle (its idle timeout, a restart) fails before any response byte
+arrives; the request never ran, so it is resent once on a fresh one.
 
 A 429 (queue full) from :meth:`~ServiceClient.submit` is retried
 automatically, honoring the server's ``Retry-After`` hint, until
@@ -34,10 +43,10 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import threading
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from repro.chaos.engine import chaos_hook
 from repro.chaos.errors import InjectedFault, is_retryable
@@ -49,6 +58,17 @@ __all__ = ["ServiceClient", "ServiceError"]
 # Client-side transport retries: small and bounded — the coordinator and
 # submit()'s busy_timeout loop layer their own policies on top.
 DEFAULT_CLIENT_RETRY = RetryPolicy(attempts=3, backoff=0.1, max_backoff=2.0)
+
+# Idle keep-alive connections one client keeps; a burst of concurrent
+# requests above this opens extra connections, which close after use.
+MAX_IDLE_CONNECTIONS = 8
+
+# How a reused connection fails when the server closed it while idle
+# (RemoteDisconnected is a ConnectionResetError).
+_STALE_ERRORS = (ConnectionResetError, BrokenPipeError)
+
+_CONNECTION_TYPES = {"http": http.client.HTTPConnection,
+                     "https": http.client.HTTPSConnection}
 
 
 class ServiceError(RuntimeError):
@@ -115,19 +135,73 @@ class ServiceClient:
             token = os.environ.get("REPRO_SERVICE_TOKEN") or None
         self.token = token
         self.retry = DEFAULT_CLIENT_RETRY if retry is None else retry
+        parts = urlsplit(self.url)
+        self._connection_type = _CONNECTION_TYPES.get(parts.scheme)
+        self._netloc, self._base_path = parts.netloc, parts.path
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
 
     # -- transport ---------------------------------------------------------
+
+    def _take_idle(self) -> http.client.HTTPConnection | None:
+        with self._idle_lock:
+            return self._idle.pop() if self._idle else None
+
+    def _exchange(self, method: str, target: str, body: bytes | None,
+                  headers: dict, timeout: float):
+        """Send one request on a pooled (or new) connection and read the
+        whole response; returns ``(response, body bytes)``. The connection
+        goes back to the pool unless the server asked to close it."""
+        conn = self._take_idle()
+        reused = conn is not None
+        if reused:
+            conn.sock.settimeout(timeout)
+        else:
+            conn = self._connection_type(self._netloc, timeout=timeout)
+        try:
+            try:
+                conn.request(method, target, body=body, headers=headers)
+                response = conn.getresponse()
+            except _STALE_ERRORS:
+                if not reused:
+                    raise
+                # closed by the server while idle, before it read this
+                # request: the request never ran, so resend it once
+                conn.close()
+                conn = self._connection_type(self._netloc, timeout=timeout)
+                conn.request(method, target, body=body, headers=headers)
+                response = conn.getresponse()
+            data = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        with self._idle_lock:
+            keep = (not response.will_close
+                    and len(self._idle) < MAX_IDLE_CONNECTIONS)
+            if keep:
+                self._idle.append(conn)
+        if not keep:
+            conn.close()
+        return response, data
 
     def _request_once(self, method: str, path: str, payload=None,
                       timeout: float | None = None) -> dict:
         """One HTTP round trip, with the failure classified (see
         :class:`ServiceError`). The ``client.request`` chaos hook fires
-        before the wire so injected resets exercise the real retry path."""
+        before the wire so injected resets exercise the real retry path;
+        a reset also drops the idle connection the request would have
+        used, so the retry really reconnects."""
         try:
             chaos_hook("client.request", method=method, path=path)
         except InjectedFault as exc:
+            conn = self._take_idle()
+            if conn is not None:
+                conn.close()
             raise ServiceError(f"{method} {path} to {self.url} failed: {exc}",
                                retryable=True) from exc
+        if self._connection_type is None:
+            raise ServiceError(f"cannot reach service at {self.url}: "
+                               "unsupported URL scheme")
         body = None if payload is None else (json.dumps(payload) + "\n").encode()
         headers = {"Content-Type": "application/json"} if body else {}
         if self.token is not None:
@@ -137,38 +211,38 @@ class ServiceClient:
             # re-read per attempt, so a retried request still carries the
             # caller's current span as the remote parent
             headers[TRACE_HEADER] = format_trace_header(wire)
-        req = urllib.request.Request(
-            self.url + path, data=body, method=method, headers=headers,
-        )
         try:
-            with urllib.request.urlopen(req, timeout=timeout or self.timeout) as resp:
-                return json.loads(resp.read().decode())
-        except urllib.error.HTTPError as exc:
-            try:
-                detail = json.loads(exc.read().decode())
-            except Exception:
-                detail = None
-            message = (detail or {}).get("error", str(exc))
-            try:
-                retry_after = float(exc.headers.get("Retry-After"))
-            except (TypeError, ValueError):
-                retry_after = None
-            raise ServiceError(message, status=exc.code, payload=detail,
-                               retry_after=retry_after,
-                               retryable=exc.code in _RETRYABLE_STATUSES) from exc
-        except urllib.error.URLError as exc:
-            # classify on the underlying reason: reset/refused/timeout are
-            # transient; DNS failures, bad schemes etc. are fatal
-            reason = exc.reason
-            retryable = isinstance(reason, BaseException) and is_retryable(reason)
-            raise ServiceError(f"cannot reach service at {self.url}: "
-                               f"{reason}", retryable=retryable) from exc
+            response, data = self._exchange(
+                method, self._base_path + path, body, headers,
+                timeout or self.timeout)
         except (OSError, http.client.HTTPException) as exc:
-            # a connection die mid-request (e.g. the server was killed)
-            # surfaces as RemoteDisconnected/ConnectionResetError, not
-            # URLError — same transport failure, same exception type here
-            raise ServiceError(f"connection to {self.url} failed: {exc!r}",
-                               retryable=is_retryable(exc)) from exc
+            # refused/reset/timed out is transient; a DNS failure or a
+            # malformed URL is fatal
+            raise ServiceError(f"cannot reach service at {self.url}: "
+                               f"{exc!r}", retryable=is_retryable(exc)) from exc
+        if 200 <= response.status < 300:
+            return json.loads(data.decode())
+        try:
+            detail = json.loads(data.decode())
+        except Exception:
+            detail = None
+        message = (detail or {}).get(
+            "error", f"HTTP Error {response.status}: {response.reason}")
+        try:
+            retry_after = float(response.headers.get("Retry-After"))
+        except (TypeError, ValueError):
+            retry_after = None
+        raise ServiceError(message, status=response.status, payload=detail,
+                           retry_after=retry_after,
+                           retryable=response.status in _RETRYABLE_STATUSES)
+
+    def close(self) -> None:
+        """Close the idle pooled connections. The client stays usable: the
+        next request opens a new connection."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
     def _request(self, method: str, path: str, payload=None,
                  timeout: float | None = None, retry: bool = True) -> dict:

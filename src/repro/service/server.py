@@ -48,6 +48,7 @@ import json
 import math
 import os
 import queue
+import socket
 import threading
 import time
 from dataclasses import asdict, dataclass, field
@@ -96,6 +97,11 @@ MAX_RETRY_AFTER = 60.0
 # less, so 1 MiB leaves ~700x headroom for hand-built grids while a hostile
 # Content-Length is refused before a byte of it is read.
 MAX_BODY_BYTES = 1 << 20
+
+# A keep-alive connection that sends no request for this long is closed, so
+# an idle client cannot hold a handler thread forever (the client resends
+# on a fresh connection). Long-polls are not idle: the wait is server-side.
+IDLE_TIMEOUT_SECONDS = 30.0
 
 
 class ServiceBusy(RuntimeError):
@@ -502,6 +508,19 @@ class _BodyRejected(Exception):
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-sweep-service/1.0"
     protocol_version = "HTTP/1.1"
+    timeout = IDLE_TIMEOUT_SECONDS
+    # headers and body go out as two sends: without TCP_NODELAY, Nagle's
+    # algorithm holds the body back until the client's delayed ACK of the
+    # headers, which stalls every response on a reused connection ~40 ms
+    disable_nagle_algorithm = True
+
+    def setup(self) -> None:
+        super().setup()
+        self.server.track(self.connection)  # type: ignore[attr-defined]
+
+    def finish(self) -> None:
+        self.server.untrack(self.connection)  # type: ignore[attr-defined]
+        super().finish()
 
     def log_message(self, fmt, *args):  # keep CI logs quiet
         pass
@@ -596,7 +615,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._reject_unauthorized()
             return
         if url.path == "/v1/shutdown":
-            self._send(200, {"ok": True, "stats": self.service.stats()})
+            self._send(200, {"ok": True, "stats": self.service.stats()},
+                       headers={"Connection": "close"})
             # shutdown() joins the serve loop; must not run on a handler
             # thread's critical path before the response is flushed
             threading.Thread(target=self.server.shutdown, daemon=True).start()
@@ -635,6 +655,49 @@ class _Handler(BaseHTTPRequestHandler):
                          "coalesced": coalesced})
 
 
+class _KeepAliveHTTPServer(ThreadingHTTPServer):
+    """A threaded HTTP server that tracks its open keep-alive connections,
+    so closing it also ends the connections its clients hold."""
+
+    daemon_threads = True
+
+    def __init__(self, address, service: SweepService, token: str | None):
+        super().__init__(address, _Handler)
+        self.service = service
+        self.token = token
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+        self._closed = False
+
+    @staticmethod
+    def _end_reads(conn: socket.socket) -> None:
+        """Shut a connection's read side: an idle handler sees end-of-stream
+        and hangs up, while a handler mid-request (a long-poll) still
+        writes its response."""
+        try:
+            conn.shutdown(socket.SHUT_RD)
+        except OSError:
+            pass  # the peer already hung up
+
+    def track(self, conn: socket.socket) -> None:
+        with self._connections_lock:
+            self._connections.add(conn)
+            if self._closed:  # accepted just before server_close
+                self._end_reads(conn)
+
+    def untrack(self, conn: socket.socket) -> None:
+        with self._connections_lock:
+            self._connections.discard(conn)
+
+    def server_close(self) -> None:
+        """Stop accepting, then end every open keep-alive connection."""
+        super().server_close()
+        with self._connections_lock:
+            self._closed = True
+            for conn in self._connections:
+                self._end_reads(conn)
+
+
 class ServiceServer:
     """The HTTP server owning a :class:`SweepService`.
 
@@ -670,10 +733,7 @@ class ServiceServer:
                                     queue_workers=queue_workers,
                                     queue_cap=queue_cap,
                                     max_finished_jobs=max_finished_jobs)
-        self.httpd = ThreadingHTTPServer((host, port), _Handler)
-        self.httpd.daemon_threads = True
-        self.httpd.service = self.service  # type: ignore[attr-defined]
-        self.httpd.token = token  # type: ignore[attr-defined]
+        self.httpd = _KeepAliveHTTPServer((host, port), self.service, token)
         self._thread: threading.Thread | None = None
 
     @property

@@ -51,6 +51,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import tempfile
 import threading
 import time
@@ -70,6 +71,10 @@ _STALE_TMP_SECONDS = 3600.0
 
 # Quarantined entries live here (inside the root, outside the LRU index).
 _QUARANTINE_DIR = ".quarantine"
+
+# A valid fingerprint: non-empty lowercase hex (no separators, so no path
+# can escape the store root through it).
+_FINGERPRINT_RE = re.compile(r"[0-9a-f]+")
 
 
 def _checksum(blob: bytes) -> str:
@@ -142,7 +147,7 @@ class ResultStore:
     # -- paths -------------------------------------------------------------
 
     def _path(self, kind: str, fp: str, suffix: str) -> Path:
-        if not fp or any(c not in "0123456789abcdef" for c in fp):
+        if _FINGERPRINT_RE.fullmatch(fp) is None:
             raise ValueError(f"fingerprint must be lowercase hex, got {fp!r}")
         return self.root / kind / fp[:2] / f"{fp}{suffix}"
 

@@ -1,6 +1,7 @@
 """DesignSpec / TileSpec / DesignPoint / DesignSweepSpec: JSON round trips."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -12,7 +13,9 @@ from repro.api import (
     PrecisionPoint,
     TileSpec,
 )
+from repro.api.spec import _result_fingerprint
 from repro.hw.designs import DESIGNS
+from repro.hw.registry import tile_names
 
 
 class TestDesignSpec:
@@ -108,6 +111,22 @@ class TestDesignPoint:
             DesignPoint(design="MC-IPU4", samples=0)
         with pytest.raises(ValueError):
             DesignPoint(design="MC-IPU4", op_precisions=((0, 4),))
+
+    @pytest.mark.parametrize("tile", tile_names())
+    def test_fingerprint_encodes_resolved_fields_like_asdict(self, tile):
+        """The fingerprint copies the resolved design/tile fields instead of
+        deep-copying them, and hashes the same bytes asdict would give."""
+        assert len(DESIGNS) == 8
+        for name in DESIGNS:
+            point = DesignPoint(design=name, tile=tile)
+            design, tile_cfg = point.design.resolve(), point.tile.resolve()
+            assert json.dumps(dict(vars(design))) == json.dumps(asdict(design))
+            assert (json.dumps(dict(vars(tile_cfg)))
+                    == json.dumps(asdict(tile_cfg)))
+            want = {**point.to_dict(), "design_resolved": asdict(design),
+                    "tile_resolved": asdict(tile_cfg)}
+            assert point.fingerprint() == _result_fingerprint("design_point",
+                                                              want)
 
 
 class TestDesignSweepSpec:

@@ -13,10 +13,10 @@ import time
 import pytest
 
 from repro.api import EmulationSession, RunSpec
-from repro.chaos import DeadlineExceeded, FaultPlan, install
+from repro.chaos import DeadlineExceeded, FaultPlan, RetryPolicy, install
 from repro.fleet import FleetCoordinator
 from repro.search import RungSpec, SearchSession, SearchSpace, SearchSpec
-from repro.service import ServiceServer, SweepService
+from repro.service import ServiceClient, ServiceServer, SweepService
 from repro.store import ResultStore
 
 # Big enough to engage the thread pool while staying a sub-second sweep:
@@ -110,6 +110,40 @@ class TestFleetChaosProperty:
                 coordinator.close()
         assert json.dumps(merged, sort_keys=True) == \
                json.dumps(direct, sort_keys=True)
+
+
+class TestInjectedResetsReconnect:
+    """An injected reset stands for a dead connection: the idle pooled
+    connection the request would have used is dropped, so the retry
+    opens a new one instead of riding the old socket."""
+
+    def test_client_retry_opens_a_new_connection(self, connections):
+        with ServiceServer(port=0) as server:
+            client = ServiceClient(server.url, retry=RetryPolicy(
+                attempts=2, backoff=0.01))
+            client.health()
+            (pooled,) = client._idle
+            with install(FaultPlan.of("conn-reset@request:0")) as engine:
+                assert client.stats()["jobs"]["total"] == 0
+            assert engine.stats()["injected"] == {"conn-reset": 1}
+            assert pooled.sock is None  # dropped, not reused
+            assert len(connections) == 2
+            client.close()
+
+    def test_fleet_retry_reconnects_and_merges_byte_identical(
+            self, connections):
+        with ServiceServer(port=0) as a, ServiceServer(port=0) as b:
+            coordinator = FleetCoordinator([a.url, b.url], shards=2)
+            try:
+                clean = coordinator.run(FLEET_SPEC)
+                assert len(connections) == 2  # one per endpoint
+                with install(FaultPlan.of("conn-reset@request:0")) as engine:
+                    chaotic = coordinator.run(FLEET_SPEC)
+                assert engine.stats()["injected"] == {"conn-reset": 1}
+                assert len(connections) == 3
+            finally:
+                coordinator.close()
+        assert json.dumps(chaotic) == json.dumps(clean)
 
 
 SMALL_SPEC = RunSpec.grid(name="deadline-small", precisions=(8,),

@@ -264,6 +264,66 @@ class TestFanOut:
             FleetCoordinator([])
 
 
+def _shard_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate()
+            if t.name.startswith("fleet-shard") and t.is_alive()]
+
+
+class TestLifetimePool:
+    """One dispatch pool per coordinator and one pooled connection per
+    endpoint, kept across sweeps until close()."""
+
+    def test_runs_reuse_one_connection_per_endpoint(self, fleet_servers,
+                                                    connections):
+        a, b = fleet_servers
+        coordinator = FleetCoordinator([a.url, b.url], shards=2)
+        try:
+            first = coordinator.run(SPEC)
+            for _ in range(2):
+                assert coordinator.run(SPEC) == first
+            assert len(coordinator.run_specs([SPEC])) == 1
+            assert len(connections) == 2
+        finally:
+            coordinator.close()
+
+    def test_pool_is_built_once_through_the_module_name(self, monkeypatch,
+                                                        fleet_servers):
+        import repro.fleet.coordinator as coordinator_mod
+
+        built = []
+
+        class CountingPool(coordinator_mod.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("thread_name_prefix"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(coordinator_mod, "ThreadPoolExecutor", CountingPool)
+        a, b = fleet_servers
+        coordinator = FleetCoordinator([a.url, b.url], shards=2)
+        assert built == []  # nothing until the first sweep
+        try:
+            coordinator.run(SPEC)
+            coordinator.run_specs([SPEC, SPEC])
+            coordinator.run(SPEC)
+            assert built == ["fleet-shard"]
+            coordinator.close()
+            coordinator.run(SPEC)  # still usable: the pool is rebuilt
+            assert len(built) == 2
+        finally:
+            coordinator.close()
+
+    def test_close_stops_every_shard_thread(self, fleet_servers):
+        a, b = fleet_servers
+        before = set(_shard_threads())  # other tests' unclosed coordinators
+        coordinator = FleetCoordinator([a.url, b.url], shards=4)
+        coordinator.run(SPEC)
+        coordinator.run_specs([SPEC, SPEC])
+        assert set(_shard_threads()) - before
+        coordinator.close()
+        assert set(_shard_threads()) <= before
+        assert all(ep._idle == [] for ep in coordinator.endpoints)
+
+
 class TestFleetCLI:
     def test_fleet_run_matches_spec_replay(self, fleet_servers, tmp_path,
                                            capsys):

@@ -151,6 +151,17 @@ class TestResultStore:
         with pytest.raises(ValueError):
             store.get_json("kind", "../../etc/passwd")
 
+    @pytest.mark.parametrize("fp", ["", "ABCDEF", "abcG", "0x1f", "../ab",
+                                    "ab/cd", "ab\n", " ab", "١"])
+    def test_path_rejects_anything_but_lowercase_hex(self, tmp_path, fp):
+        with pytest.raises(ValueError, match="lowercase hex"):
+            ResultStore(tmp_path)._path("kind", fp, ".json")
+
+    def test_path_accepts_every_hex_digit(self, tmp_path):
+        store = ResultStore(tmp_path)
+        path = store._path("kind", "0123456789abcdef", ".json")
+        assert path == tmp_path / "kind" / "01" / "0123456789abcdef.json"
+
     def test_partial_file_never_served(self, tmp_path):
         """A torn entry (crash mid-sector) is a miss, not garbage data."""
         store = ResultStore(tmp_path)
