@@ -59,10 +59,6 @@ __all__ = ["ServiceClient", "ServiceError"]
 # submit()'s busy_timeout loop layer their own policies on top.
 DEFAULT_CLIENT_RETRY = RetryPolicy(attempts=3, backoff=0.1, max_backoff=2.0)
 
-# Idle keep-alive connections one client keeps; a burst of concurrent
-# requests above this opens extra connections, which close after use.
-MAX_IDLE_CONNECTIONS = 8
-
 # How a reused connection fails when the server closed it while idle
 # (RemoteDisconnected is a ConnectionResetError).
 _STALE_ERRORS = (ConnectionResetError, BrokenPipeError)
@@ -175,13 +171,11 @@ class ServiceClient:
         except BaseException:
             conn.close()
             raise
-        with self._idle_lock:
-            keep = (not response.will_close
-                    and len(self._idle) < MAX_IDLE_CONNECTIONS)
-            if keep:
-                self._idle.append(conn)
-        if not keep:
+        if response.will_close:
             conn.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(conn)
         return response, data
 
     def _request_once(self, method: str, path: str, payload=None,

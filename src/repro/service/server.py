@@ -555,9 +555,9 @@ class _Handler(BaseHTTPRequestHandler):
         supplied = self.headers.get("Authorization") or ""
         return hmac.compare_digest(supplied.encode(), f"Bearer {token}".encode())
 
-    def _reject_unauthorized(self) -> None:
+    def _reject_unauthorized(self, headers: dict | None = None) -> None:
         self._send(401, {"error": "missing or invalid bearer token"},
-                   headers={"WWW-Authenticate": "Bearer"})
+                   headers={"WWW-Authenticate": "Bearer", **(headers or {})})
 
     def _read_body(self) -> dict:
         raw = self.headers.get("Content-Length") or "0"
@@ -611,12 +611,15 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802
         url = urlsplit(self.path)
+        # a response sent before _read_body leaves the body unread, and the
+        # keep-alive loop would parse it as the next request: hang up
+        hang_up = {"Connection": "close"}
         if not self._authorized():
-            self._reject_unauthorized()
+            self._reject_unauthorized(headers=hang_up)
             return
         if url.path == "/v1/shutdown":
             self._send(200, {"ok": True, "stats": self.service.stats()},
-                       headers={"Connection": "close"})
+                       headers=hang_up)
             # shutdown() joins the serve loop; must not run on a handler
             # thread's critical path before the response is flushed
             threading.Thread(target=self.server.shutdown, daemon=True).start()
@@ -625,14 +628,13 @@ class _Handler(BaseHTTPRequestHandler):
                  "/v1/search": "search"}
         kind = kinds.get(url.path)
         if kind is None:
-            self._send(404, {"error": f"unknown path {url.path!r}"})
+            self._send(404, {"error": f"unknown path {url.path!r}"},
+                       headers=hang_up)
             return
         try:
             spec_dict = self._read_body()
         except _BodyRejected as exc:
-            # the unread body would be parsed as the next request: hang up
-            self._send(exc.code, {"error": str(exc)},
-                       headers={"Connection": "close"})
+            self._send(exc.code, {"error": str(exc)}, headers=hang_up)
             return
         except (ValueError, UnicodeDecodeError) as exc:
             self._send(400, {"error": f"request body is not JSON: {exc}"})

@@ -139,6 +139,37 @@ class TestIdleTimeout:
             client.close()
 
 
+class TestUnreadBodies:
+    """A POST answered before its body is read must hang up: a kept
+    connection would parse the leftover body as its next request and
+    answer the client's next call with that parse error."""
+
+    def test_401_then_the_same_client_keeps_working(self, connections):
+        with ServiceServer(port=0, token="hunter2") as server:
+            client = ServiceClient(server.url, token="wrong",
+                                   retry=ONE_ATTEMPT)
+            with pytest.raises(ServiceError) as info:
+                client.submit(SPEC)
+            assert info.value.status == 401
+            assert client._idle == []  # Connection: close dropped it
+            assert client.health()["ok"]
+            client.token = "hunter2"
+            assert client.run(SPEC)["rendered"]
+            assert len(connections) == 2
+            client.close()
+
+    def test_unknown_post_path_then_the_same_client_keeps_working(
+            self, connections):
+        with ServiceServer(port=0) as server:
+            client = ServiceClient(server.url, retry=ONE_ATTEMPT)
+            with pytest.raises(ServiceError) as info:
+                client._request("POST", "/v1/nope", {"spec": "unread"})
+            assert info.value.status == 404
+            assert client.stats()["jobs"]["total"] == 0
+            assert len(connections) == 2
+            client.close()
+
+
 class _DroppingHandler(BaseHTTPRequestHandler):
     """Keep-alive handler replaying a script of statuses; a ``None`` entry
     reads the request, then hangs up without a response byte, and
