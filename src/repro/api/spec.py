@@ -552,7 +552,7 @@ def spec_kind_of(spec) -> str:
 
 def spec_from_kind(kind: str, d) -> "RunSpec | DesignSweepSpec":
     """Deserialize a spec dict of a named kind (used by the service's
-    request parsing and by :class:`repro.fleet.ShardPlan` round trips)."""
+    request parsing and by :class:`repro.fleet.FleetCoordinator`)."""
     cls = _search_spec_cls() if kind == "search" else _SPEC_KINDS.get(kind)
     if cls is None:
         raise ValueError(f"unknown job kind {kind!r}; "

@@ -191,7 +191,8 @@ def _replay_fleet(args) -> Result:
         with open(path) as fh:
             spec_dict = json.load(fh)
         result = coordinator.run(spec_dict, kind=kind)
-    except (OSError, ValueError) as exc:  # unreadable, malformed or invalid
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        # unreadable, malformed, invalid, or the other spec kind
         raise _Fail(f"cannot load spec {path!r}: {exc}")
     except (FleetError, ServiceError) as exc:
         raise _Fail(f"fleet error: {exc}")

@@ -159,10 +159,10 @@ def _is_deterministic(exc: ServiceError) -> bool:
 class FleetCoordinator:
     """See module docstring.
 
-    ``shards=None`` defaults to one shard per endpoint. ``retries`` bounds
-    *additional* attempts per shard beyond the first, with exponential
-    backoff ``backoff * 2**attempt`` capped at ``max_backoff`` between
-    attempts. ``timeout`` is per shard attempt (submit + long-poll).
+    ``shards=None`` defaults to one shard per endpoint. ``timeout`` is per
+    shard attempt (submit + long-poll). ``retry`` bounds the attempts per
+    shard and the backoff between them; the default makes 4 attempts,
+    sleeping ~0.25 s, 0.5 s and 1 s (jittered) between rounds.
 
     ``store`` (a :class:`~repro.store.ResultStore` or directory path) adds
     coordinator-side result caching: each shard's finished service payload
@@ -174,12 +174,8 @@ class FleetCoordinator:
     The endpoints' own stores are unrelated (and may not be shared
     filesystems); this cache lives with the coordinator.
 
-    ``retry`` overrides the retries/backoff/max_backoff trio with an
-    explicit :class:`~repro.chaos.RetryPolicy`. ``breaker_cooldown``
-    (seconds) is how long a failed endpoint sits out before the next
-    health-probed rejoin attempt. ``local_fallback=False`` restores the
-    pre-chaos behavior of raising :class:`FleetError` when every endpoint
-    is down.
+    ``breaker_cooldown`` (seconds) is how long a failed endpoint sits out
+    before the next health-probed rejoin attempt.
 
     One dispatch thread pool (built on the first sweep) and each HTTP
     endpoint's keep-alive connections serve every sweep of the
@@ -187,12 +183,11 @@ class FleetCoordinator:
     """
 
     def __init__(self, endpoints, shards: int | None = None,
-                 timeout: float = 600.0, retries: int = 3,
-                 backoff: float = 0.25, max_backoff: float = 4.0,
-                 token: str | None = None, store=None,
-                 retry: RetryPolicy | None = None,
-                 breaker_cooldown: float = 2.0,
-                 local_fallback: bool = True):
+                 timeout: float = 600.0, token: str | None = None,
+                 store=None,
+                 retry: RetryPolicy = RetryPolicy(attempts=4, backoff=0.25,
+                                                  max_backoff=4.0),
+                 breaker_cooldown: float = 2.0):
         self.endpoints = [_as_endpoint(e, token) for e in endpoints]
         if not self.endpoints:
             raise ValueError("a fleet needs at least one endpoint")
@@ -200,17 +195,12 @@ class FleetCoordinator:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.shards = shards
         self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.max_backoff = max_backoff
-        self.retry = retry if retry is not None else RetryPolicy(
-            attempts=retries + 1, backoff=backoff, max_backoff=max_backoff)
-        self.local_fallback = local_fallback
+        self.retry = retry
         self.store = ResultStore.coerce(store)
         self._lock = threading.Lock()
         self._breakers = [CircuitBreaker(cooldown=breaker_cooldown)
                           for _ in self.endpoints]
-        self._local_service = None
+        self._local: LocalEndpoint | None = None
         self._pool: ThreadPoolExecutor | None = None
         self._stragglers: list[dict] = []
         # per-endpoint counter keys, metric labels and stats rows must be
@@ -239,29 +229,15 @@ class FleetCoordinator:
             return self._pool
 
     def run(self, spec, kind: str | None = None) -> dict:
-        """Shard ``spec`` (object / dict / JSON string / path, either
-        kind), fan the shards out, and return the merged service-shape
-        payload — byte-identical to an unsharded run of the parent."""
+        """Shard ``spec`` (object / dict / JSON string / path) as ``kind``
+        (inferred when omitted), fan the shards out, and return the merged
+        service-shape payload — byte-identical to an unsharded run of the
+        parent."""
         spec_dict = _as_spec_dict(spec)
-        kind = kind or spec_kind_of(spec_dict)
-        plan = ShardPlan.build(spec_dict, self.shards or len(self.endpoints))
-        started = time.monotonic()
-        durations = [0.0] * len(plan.shards)
-        with trace_span("fleet.sweep", kind=plan.kind, shards=len(plan.shards),
-                        endpoints=len(self.endpoints)):
-            state = trace_capture()
-
-            def run_one(shard):
-                t0 = time.monotonic()
-                with trace_attach(state):
-                    payload = self._cached_dispatch(plan.kind, shard.index,
-                                                    shard.spec)
-                durations[shard.index] = time.monotonic() - t0
-                return payload
-
-            payloads = list(self._shard_pool().map(run_one, plan.shards))
-            self._note_stragglers(plan, durations, time.monotonic() - started)
-            return plan.merge_payloads(payloads)
+        parsed = spec_from_kind(kind or spec_kind_of(spec_dict), spec_dict)
+        plan = ShardPlan.build(parsed, self.shards or len(self.endpoints))
+        payloads = self._fan_out(plan.kind, [s.spec for s in plan.shards])
+        return plan.merge_payloads(payloads)
 
     def run_specs(self, specs, kind: str | None = None,
                   timeout: float | None = None) -> list[dict]:
@@ -283,16 +259,29 @@ class FleetCoordinator:
             return []
         kind = kind or spec_kind_of(spec_dicts[0])
         parsed = [spec_from_kind(kind, d) for d in spec_dicts]
-        with trace_span("fleet.sweep", kind=kind, shards=len(parsed),
-                        endpoints=len(self.endpoints), fanout="specs"):
+        return self._fan_out(kind, parsed, timeout=timeout)
+
+    def _fan_out(self, kind: str, specs: list,
+                 timeout: float | None = None) -> list[dict]:
+        """Run each spec as one unit of fleet work on the dispatch pool
+        (spec ``i`` prefers endpoint ``i % len(endpoints)``), record
+        stragglers, and return the payloads in spec order."""
+        started = time.monotonic()
+        durations = [0.0] * len(specs)
+        with trace_span("fleet.sweep", kind=kind, shards=len(specs),
+                        endpoints=len(self.endpoints)):
             state = trace_capture()
 
             def run_one(i):
+                t0 = time.monotonic()
                 with trace_attach(state):
-                    return self._cached_dispatch(kind, i, parsed[i],
-                                                 timeout=timeout)
+                    payload = self._cached_dispatch(kind, i, specs[i], timeout)
+                durations[i] = time.monotonic() - t0
+                return payload
 
-            return list(self._shard_pool().map(run_one, range(len(parsed))))
+            payloads = list(self._shard_pool().map(run_one, range(len(specs))))
+        self._note_stragglers(durations, time.monotonic() - started)
+        return payloads
 
     # -- store cache -------------------------------------------------------
 
@@ -302,7 +291,7 @@ class FleetCoordinator:
                                                "spec": spec.fingerprint()}})
 
     def _cached_dispatch(self, kind: str, index: int, spec,
-                         timeout: float | None = None) -> dict:
+                         timeout: float | None) -> dict:
         """One unit of fleet work: serve it store-warm, or dispatch it and
         persist the payload. Spec fingerprints exclude presentation fields
         (``name``/``executor``), and the merge layers never read a
@@ -353,30 +342,36 @@ class FleetCoordinator:
                 if self._endpoint_ready((start + i) % n)]
 
     def _run_shard(self, kind: str, index: int, spec,
-                   timeout: float | None = None) -> dict:
+                   timeout: float | None) -> dict:
+        """Dispatch one spec: each retry round walks the live endpoints,
+        preferred first; when none is live, the in-process fallback
+        service takes the last attempt."""
         preferred = index % len(self.endpoints)
         timeout = self.timeout if timeout is None else timeout
         delays = self.retry.delays()
         last_error: Exception | None = None
         for attempt in range(self.retry.attempts):
-            rotation = self._live_rotation(preferred)
-            if not rotation:
-                if self.local_fallback:
-                    return self._run_local(kind, index, spec, timeout)
-                raise FleetError(
-                    f"shard {index}: all {len(self.endpoints)} fleet "
-                    f"endpoints are dead (last error: {last_error})")
-            for ep_idx in rotation:
-                endpoint = self.endpoints[ep_idx]
+            for ep_idx in self._live_rotation(preferred) or [None]:
+                local = ep_idx is None
+                if local:
+                    endpoint = self._local_endpoint()
+                    attrs = {"attempt": -1, "fallback": True}
+                else:
+                    endpoint = self.endpoints[ep_idx]
+                    attrs = {"attempt": attempt}
                 try:
                     with trace_span("fleet.shard", shard=index,
-                                    endpoint=endpoint.url, attempt=attempt):
-                        chaos_hook("fleet.shard", shard=index, endpoint=ep_idx)
+                                    endpoint=endpoint.url, **attrs):
+                        if not local:
+                            chaos_hook("fleet.shard", shard=index,
+                                       endpoint=ep_idx)
                         ticket = endpoint.submit(spec, kind=kind)
                         payload = endpoint.result(ticket["job"],
                                                   timeout=timeout)
                 except (ServiceError, InjectedFault) as exc:
-                    if isinstance(exc, ServiceError) and _is_deterministic(exc):
+                    # the fallback is the last attempt, so it fails fast too
+                    if local or (isinstance(exc, ServiceError)
+                                 and _is_deterministic(exc)):
                         raise FleetError(
                             f"shard {index} ({spec.name}) failed "
                             f"on {endpoint.url}: {exc}") from exc
@@ -384,10 +379,14 @@ class FleetCoordinator:
                     self._note_failure(ep_idx)
                     continue  # try the next live endpoint, no backoff
                 with self._lock:
-                    self._counts.endpoint_jobs[self._endpoint_keys[ep_idx]] += 1
                     self._counts.shards_completed += 1
-                    if ep_idx != preferred:  # landed on a survivor
-                        self._counts.redispatches += 1
+                    if local:
+                        self._counts.shards_local += 1
+                    else:
+                        self._counts.endpoint_jobs[
+                            self._endpoint_keys[ep_idx]] += 1
+                        if ep_idx != preferred:  # landed on a survivor
+                            self._counts.redispatches += 1
                 return payload
             delay = next(delays, None)
             if delay is None:
@@ -403,40 +402,25 @@ class FleetCoordinator:
         immediately, and it sits out ``breaker_cooldown`` before a rejoin
         probe); reachable means the *job* was slow/lost, leave it in
         rotation."""
-        alive = True
         try:
             self.endpoints[ep_idx].health()
         except Exception:
-            alive = False
-        if not alive:
             self._breakers[ep_idx].record_failure()
         with self._lock:
             self._counts.retries += 1
 
-    # -- graceful degradation ----------------------------------------------
-
-    def _ensure_local_service(self):
+    def _local_endpoint(self) -> LocalEndpoint:
         """The all-endpoints-down fallback: an in-process
         :class:`~repro.service.SweepService` sharing the coordinator's
         store. It runs the exact service compute path, so payloads (and
         therefore merges) stay byte-identical to the fleet path."""
         with self._lock:
-            if self._local_service is None:
+            if self._local is None:
                 from repro.service.server import SweepService
 
-                self._local_service = SweepService(store=self.store)
-            return self._local_service
-
-    def _run_local(self, kind: str, index: int, spec, timeout: float) -> dict:
-        endpoint = LocalEndpoint(self._ensure_local_service(), name="fallback")
-        with trace_span("fleet.shard", shard=index, endpoint=endpoint.url,
-                        attempt=-1, fallback=True):
-            ticket = endpoint.submit(spec, kind=kind)
-            payload = endpoint.result(ticket["job"], timeout=timeout)
-        with self._lock:
-            self._counts.shards_local += 1
-            self._counts.shards_completed += 1
-        return payload
+                self._local = LocalEndpoint(SweepService(store=self.store),
+                                            name="fallback")
+            return self._local
 
     def close(self) -> None:
         """Stop the dispatch pool's threads, close the HTTP endpoints' idle
@@ -444,28 +428,28 @@ class FleetCoordinator:
         coordinator stays usable: the next sweep rebuilds what it needs."""
         with self._lock:
             pool, self._pool = self._pool, None
-            service, self._local_service = self._local_service, None
+            local, self._local = self._local, None
         if pool is not None:
             pool.shutdown(wait=True)
         for endpoint in self.endpoints:
             if isinstance(endpoint, ServiceClient):
                 endpoint.close()
-        if service is not None:
-            service.close()
+        if local is not None:
+            local.service.close()
 
-    def _note_stragglers(self, plan, durations, total: float) -> None:
+    def _note_stragglers(self, durations: list[float], total: float) -> None:
+        """Record every unit of work that took over twice the median."""
         if len(durations) < 2:
             return
-        ordered = sorted(durations)
-        median = ordered[len(ordered) // 2]
+        median = sorted(durations)[len(durations) // 2]
+        if median <= 0:
+            return
         with self._lock:
-            for shard in plan.shards:
-                d = durations[shard.index]
-                if median > 0 and d > 2.0 * median:
-                    self._stragglers.append(
-                        {"shard": shard.index, "seconds": round(d, 3),
-                         "median_seconds": round(median, 3),
-                         "sweep_seconds": round(total, 3)})
+            self._stragglers.extend(
+                {"shard": i, "seconds": round(d, 3),
+                 "median_seconds": round(median, 3),
+                 "sweep_seconds": round(total, 3)}
+                for i, d in enumerate(durations) if d > 2.0 * median)
 
     # -- observability -----------------------------------------------------
 

@@ -5,7 +5,7 @@ the parent's cross-product exactly once, then reassembles shard results
 into output **byte-identical** to the unsharded path. Both halves are pure
 functions of the parent spec and K — no wall clock, no arrival order — so
 a plan can be rebuilt anywhere (coordinator, CI, a retry after a crash)
-and always names the same shards with the same derived fingerprints.
+and always names the same shards with the same sub-specs.
 
 Which axis may be sharded is a correctness question, not a tuning knob:
 
@@ -42,7 +42,6 @@ from repro.analysis.sweeps import PrecisionSweep
 from repro.api.session import sweep_points_from_dicts, sweep_points_to_dicts
 from repro.api.spec import spec_from_kind, spec_kind_of
 from repro.chaos.errors import FatalError
-from repro.store.fingerprint import fingerprint as _fingerprint
 
 __all__ = ["Shard", "ShardMergeError", "ShardPlan"]
 
@@ -71,25 +70,17 @@ def _balanced_spans(n: int, k: int) -> list[tuple[int, int]]:
 class Shard:
     """One sub-spec of a plan.
 
-    ``fingerprint`` identifies the shard *slot* (derived from the parent
-    fingerprint + position, stable across rebuilds); the sub-spec's own
-    ``spec.fingerprint()`` still keys results and coalescing on the
-    service side, so a shard shares cache entries with any direct run of
-    the same sub-grid. ``point_indices`` are the parent-axis positions
-    this shard covers (``RunSpec.points`` indices for sweeps, flat
-    ``DesignSweepSpec.points()`` indices for design sweeps), in the
+    The sub-spec's own ``spec.fingerprint()`` keys results and coalescing
+    on the service side, so a shard shares cache entries with any direct
+    run of the same sub-grid. ``point_indices`` are the parent-axis
+    positions this shard covers (``RunSpec.points`` indices for sweeps,
+    flat ``DesignSweepSpec.points()`` indices for design sweeps), in the
     shard's local result order.
     """
 
     index: int
-    fingerprint: str
     spec: RunSpec | DesignSweepSpec
     point_indices: tuple[int, ...]
-
-    def to_dict(self) -> dict:
-        return {"index": self.index, "fingerprint": self.fingerprint,
-                "spec": self.spec.to_dict(),
-                "point_indices": list(self.point_indices)}
 
 
 _AXIS_NONE = "none"
@@ -98,17 +89,12 @@ _AXIS_NONE = "none"
 @dataclass(frozen=True)
 class ShardPlan:
     """See module docstring. Build with :meth:`build`, merge with
-    :meth:`merge_sweeps` / :meth:`merge_reports` / :meth:`merge_payloads`."""
+    :meth:`merge_payloads` (or :meth:`merge_reports` for report objects)."""
 
     kind: str  # "sweep" | "design-sweep" (service wire names)
     parent: RunSpec | DesignSweepSpec
     axis: str  # "points" | "designs" | "tiles" | "precisions" | "none"
-    requested_shards: int
     shards: tuple[Shard, ...]
-
-    @property
-    def parent_fingerprint(self) -> str:
-        return self.parent.fingerprint()
 
     # -- construction ------------------------------------------------------
 
@@ -134,16 +120,9 @@ class ShardPlan:
             axis, subsets = cls._split_run_spec(spec, shards)
         else:
             axis, subsets = cls._split_design_spec(spec, shards)
-        parent_fp = spec.fingerprint()
-        k_eff = len(subsets)
-        built = tuple(
-            Shard(index=i,
-                  fingerprint=_fingerprint({"fleet_shard": parent_fp,
-                                            "index": i, "of": k_eff}),
-                  spec=sub, point_indices=tuple(indices))
-            for i, (sub, indices) in enumerate(subsets))
-        return cls(kind=kind, parent=spec, axis=axis,
-                   requested_shards=shards, shards=built)
+        built = tuple(Shard(index=i, spec=sub, point_indices=tuple(indices))
+                      for i, (sub, indices) in enumerate(subsets))
+        return cls(kind=kind, parent=spec, axis=axis, shards=built)
 
     @staticmethod
     def _split_run_spec(spec: RunSpec, shards: int):
@@ -198,27 +177,6 @@ class ShardPlan:
             subsets.append((sub, indices))
         return axis, subsets
 
-    # -- JSON round trip (what the coordinator logs / a retry reloads) -----
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "axis": self.axis,
-                "requested_shards": self.requested_shards,
-                "parent_fingerprint": self.parent_fingerprint,
-                "parent": self.parent.to_dict(),
-                "shards": [s.to_dict() for s in self.shards]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ShardPlan":
-        kind = d["kind"]
-        shards = tuple(
-            Shard(index=s["index"], fingerprint=s["fingerprint"],
-                  spec=spec_from_kind(kind, s["spec"]),
-                  point_indices=tuple(s["point_indices"]))
-            for s in d["shards"])
-        return cls(kind=kind, parent=spec_from_kind(kind, d["parent"]),
-                   axis=d["axis"], requested_shards=d["requested_shards"],
-                   shards=shards)
-
     # -- merges (plan order, never arrival order) --------------------------
 
     def _owners(self) -> dict[int, tuple[int, int]]:
@@ -228,16 +186,6 @@ class ShardPlan:
             for local, pi in enumerate(shard.point_indices):
                 owners[pi] = (shard.index, local)
         return owners
-
-    def merge_sweeps(self, shard_points: list) -> "PrecisionSweep":
-        """Reassemble per-shard sweep points (each a ``PrecisionSweep`` or
-        its ``points`` list, indexed by shard) into the parent's sweep,
-        point-for-point identical to an unsharded run."""
-        if self.kind != "sweep":
-            raise ValueError(f"merge_sweeps on a {self.kind!r} plan")
-        rows = [list(getattr(s, "points", s)) for s in shard_points]
-        merged = self._merge_sweep_rows(rows)
-        return PrecisionSweep(points=merged)
 
     def _merge_sweep_rows(self, rows: list[list]) -> list:
         """Interleave shard result rows back into parent order.
@@ -289,7 +237,7 @@ class ShardPlan:
         with the parent's name/fingerprint and a freshly rendered table —
         byte-identical to the single-service path."""
         base = {"kind": self.kind, "name": self.parent.name,
-                "fingerprint": self.parent_fingerprint}
+                "fingerprint": self.parent.fingerprint()}
         if self.kind == "sweep":
             rows = [sweep_points_from_dicts(p["points"]) for p in payloads]
             merged = self._merge_sweep_rows(rows)

@@ -100,8 +100,9 @@ class TestFleetChaosProperty:
             reference.close()
         with ServiceServer(port=0, queue_workers=2) as a, \
              ServiceServer(port=0, queue_workers=2) as b:
-            coordinator = FleetCoordinator([a.url, b.url], shards=shards,
-                                           retries=2, backoff=0.01)
+            coordinator = FleetCoordinator(
+                [a.url, b.url], shards=shards,
+                retry=RetryPolicy(attempts=3, backoff=0.01))
             try:
                 with install(plan) as engine:
                     merged = coordinator.run(FLEET_SPEC)

@@ -97,3 +97,13 @@ def test_mode_accepts_exactly_its_flags(run, mode, flag):
 def test_rejections_say_why(run, argv, message):
     rc, err = run(argv)
     assert rc == 2 and message in err
+
+
+@pytest.mark.parametrize("fleet", [[], ["--fleet", URL]])
+@pytest.mark.parametrize("flag, other", [("--spec", "design_pareto.json"),
+                                         ("--design-spec", "fig3_quick.json")])
+def test_spec_of_the_other_kind_is_refused(run, fleet, flag, other):
+    """A design grid given to --spec (or a precision grid to --design-spec)
+    exits 2 the same way locally and over a fleet, before any dispatch."""
+    rc, err = run([flag, str(SPECS / other)] + fleet)
+    assert rc == 2 and "cannot load" in err, err

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.api import DesignSweepSpec, PrecisionPoint, RunSpec
+from repro.chaos import RetryPolicy
 from repro.fleet import FleetCoordinator, FleetError, LocalEndpoint, ShardPlan
 from repro.service import ServiceClient, ServiceError, ServiceServer, SweepService
 from repro.store import ResultStore
@@ -112,8 +113,9 @@ class TestFanOut:
         doomed_backend = SweepService()
         doomed = _KilledAfterAccept(doomed_backend)
         try:
-            coordinator = FleetCoordinator([doomed, survivor], shards=4,
-                                           retries=2, backoff=0.01)
+            coordinator = FleetCoordinator(
+                [doomed, survivor], shards=4,
+                retry=RetryPolicy(attempts=3, backoff=0.01))
             merged = coordinator.run(SPEC)
             direct = _direct_payload(reference_service, SPEC, "sweep")
             assert json.dumps(merged, sort_keys=True) == \
@@ -127,19 +129,13 @@ class TestFanOut:
             survivor.close()
             doomed_backend.close()
 
-    def test_all_endpoints_dead_raises_without_local_fallback(self):
-        coordinator = FleetCoordinator([_NeverReachable(), _NeverReachable()],
-                                       retries=1, backoff=0.01,
-                                       local_fallback=False)
-        with pytest.raises(FleetError, match="dead"):
-            coordinator.run(SPEC)
-
     def test_all_endpoints_dead_degrades_to_local_execution(
             self, reference_service):
         """The graceful-degradation path: every endpoint down → remaining
         shards run on an in-process service, merge still byte-identical."""
-        coordinator = FleetCoordinator([_NeverReachable(), _NeverReachable()],
-                                       shards=3, retries=1, backoff=0.01)
+        coordinator = FleetCoordinator(
+            [_NeverReachable(), _NeverReachable()], shards=3,
+            retry=RetryPolicy(attempts=2, backoff=0.01))
         try:
             merged = coordinator.run(SPEC)
             direct = _direct_payload(reference_service, SPEC, "sweep")
@@ -182,9 +178,10 @@ class TestFanOut:
         backend, steady = SweepService(), SweepService(queue_workers=2)
         flaky = _Flaky(backend)
         try:
-            coordinator = FleetCoordinator([flaky, steady], shards=2,
-                                           retries=2, backoff=0.01,
-                                           breaker_cooldown=0.05)
+            coordinator = FleetCoordinator(
+                [flaky, steady], shards=2,
+                retry=RetryPolicy(attempts=3, backoff=0.01),
+                breaker_cooldown=0.05)
             coordinator.run(SPEC)
             assert coordinator.stats()["endpoints"][0]["dead"] is True
             flaky.down = False
@@ -213,9 +210,9 @@ class TestFanOut:
         doomed_backend = SweepService()
         doomed = _KilledAfterAccept(doomed_backend)
         try:
-            coordinator = FleetCoordinator([doomed, survivor], shards=4,
-                                           retries=2, backoff=0.01,
-                                           store=store)
+            coordinator = FleetCoordinator(
+                [doomed, survivor], shards=4,
+                retry=RetryPolicy(attempts=3, backoff=0.01), store=store)
             merged = coordinator.run(SPEC)
             assert json.dumps(merged, sort_keys=True) == \
                    json.dumps(direct, sort_keys=True)
@@ -229,9 +226,9 @@ class TestFanOut:
         victim.write_bytes(victim.read_bytes()[:-2] + b"zz")
         rerun_store = ResultStore(tmp_path / "fleet-store")
         try:
-            coordinator = FleetCoordinator([survivor], shards=4,
-                                           retries=2, backoff=0.01,
-                                           store=rerun_store)
+            coordinator = FleetCoordinator(
+                [survivor], shards=4,
+                retry=RetryPolicy(attempts=3, backoff=0.01), store=rerun_store)
             merged = coordinator.run(SPEC)
             assert json.dumps(merged, sort_keys=True) == \
                    json.dumps(direct, sort_keys=True)
@@ -245,7 +242,8 @@ class TestFanOut:
     def test_deterministic_job_failure_fails_fast(self):
         a, b = SweepService(), SweepService()
         try:
-            coordinator = FleetCoordinator([a, b], retries=3, backoff=0.01)
+            coordinator = FleetCoordinator(
+                [a, b], retry=RetryPolicy(attempts=4, backoff=0.01))
             # parses fine, fails in every worker: unknown operand source
             bad = RunSpec(name="bad", sources=("laplace", "no-such-source"),
                           points=(PrecisionPoint(12), PrecisionPoint(16)),
@@ -257,11 +255,67 @@ class TestFanOut:
             a.close()
             b.close()
 
+    def test_kind_says_how_the_spec_is_read(self, reference_service):
+        coordinator = FleetCoordinator([reference_service])
+        try:
+            with pytest.raises(TypeError, match="designs"):
+                coordinator.run(DESIGN_SPEC.to_dict(), kind="sweep")
+            merged = coordinator.run(DESIGN_SPEC.to_dict(), kind="design-sweep")
+            assert merged["kind"] == "design-sweep"
+        finally:
+            coordinator.close()
+
     def test_endpoint_rejects_unknown_objects(self):
         with pytest.raises(TypeError):
             FleetCoordinator([42])
         with pytest.raises(ValueError):
             FleetCoordinator([])
+
+
+class _HoldsBack(LocalEndpoint):
+    """A local endpoint that delays the result of each job whose spec has
+    one of the ``slow`` names."""
+
+    def __init__(self, service, slow, delay=1.0):
+        super().__init__(service, name="holds-back")
+        self.slow, self.delay = set(slow), delay
+        self._slow_jobs = set()
+
+    def submit(self, spec, kind=None, busy_timeout=60.0):
+        ticket = super().submit(spec, kind=kind, busy_timeout=busy_timeout)
+        if spec.name in self.slow:
+            self._slow_jobs.add(ticket["job"])
+        return ticket
+
+    def result(self, job_id, timeout=600.0):
+        if job_id in self._slow_jobs:
+            time.sleep(self.delay)
+        return super().result(job_id, timeout=timeout)
+
+
+class TestStragglers:
+    """Both fan-outs time every unit of work and record the ones that
+    took over twice the median."""
+
+    def test_run_and_run_specs_record_the_delayed_item(self):
+        singles = [RunSpec.grid(name=f"single-{p}", precisions=(p,),
+                                accumulators=("fp32",), sources=("laplace",),
+                                batch=200, n=8, seed=5) for p in (10, 12, 14)]
+        service = SweepService(queue_workers=2)
+        coordinator = FleetCoordinator(
+            [_HoldsBack(service, {"fleet-spec#s1of3", "single-12"})], shards=3)
+        try:
+            coordinator.run(SPEC)
+            coordinator.run_specs(singles)
+            stragglers = coordinator.stats()["stragglers"]
+        finally:
+            coordinator.close()
+            service.close()
+        assert [s["shard"] for s in stragglers] == [1, 1]
+        for record in stragglers:
+            assert record["seconds"] >= 1.0
+            assert record["seconds"] > 2 * record["median_seconds"]
+            assert record["sweep_seconds"] >= record["seconds"]
 
 
 def _shard_threads() -> list[threading.Thread]:

@@ -67,7 +67,6 @@ class TestPartitioning:
 
     def test_shard_count_is_clamped_to_the_axis(self):
         plan = ShardPlan.build(DESIGN_SPEC, 64)
-        assert plan.requested_shards == 64
         assert len(plan.shards) == 3  # three designs
         single = ShardPlan.build(
             DesignSweepSpec.grid(name="one", designs=("INT8",),
@@ -76,14 +75,13 @@ class TestPartitioning:
 
     def test_plans_are_deterministic_with_derived_fingerprints(self):
         a = ShardPlan.build(SPEC, 3)
-        b = ShardPlan.build(SPEC, 3)
-        assert [s.fingerprint for s in a.shards] == \
-               [s.fingerprint for s in b.shards]
-        assert len({s.fingerprint for s in a.shards}) == len(a.shards)
-        # changing the parent or the split changes every shard fingerprint
+        assert ShardPlan.build(SPEC, 3) == a
+        fingerprints = [s.spec.fingerprint() for s in a.shards]
+        assert len(set(fingerprints)) == len(a.shards)
+        # a different split names different sub-grids
         other = ShardPlan.build(SPEC, 2)
-        assert not ({s.fingerprint for s in a.shards}
-                    & {s.fingerprint for s in other.shards})
+        assert not (set(fingerprints)
+                    & {s.spec.fingerprint() for s in other.shards})
 
     def test_invalid_inputs_are_rejected(self):
         with pytest.raises(ValueError):
@@ -91,11 +89,11 @@ class TestPartitioning:
         with pytest.raises(ValueError):
             ShardPlan.build(RunSpec(name="empty", sources=("laplace",)), 2)
 
-    @pytest.mark.parametrize("spec", [SPEC, DESIGN_SPEC])
-    def test_json_round_trip(self, spec):
-        plan = ShardPlan.build(spec, 3)
-        clone = ShardPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
-        assert clone == plan
+
+def _sweep_payload(session, spec) -> dict:
+    """A shard's service payload for ``spec``, after the HTTP hop."""
+    points = sweep_points_to_dicts(session.sweep(spec).points)
+    return json.loads(json.dumps({"points": points}))
 
 
 class TestMerges:
@@ -103,11 +101,11 @@ class TestMerges:
         plan = ShardPlan.build(SPEC, 3)
         with EmulationSession() as session:
             direct = session.sweep(SPEC)
-            shard_sweeps = [session.sweep(s.spec) for s in plan.shards]
-        merged = plan.merge_sweeps(shard_sweeps)
-        assert merged.points == direct.points  # bit-equal stats, same order
-        assert render_sweep(merged, title=SPEC.name) == \
-               render_sweep(direct, title=SPEC.name)
+            payloads = [_sweep_payload(session, s.spec) for s in plan.shards]
+        merged = plan.merge_payloads(payloads)
+        # bit-equal stats, same order
+        assert merged["points"] == sweep_points_to_dicts(direct.points)
+        assert merged["rendered"] == render_sweep(direct, title=SPEC.name)
 
     def test_merged_reports_are_bit_identical_to_unsharded(self):
         plan = ShardPlan.build(DESIGN_SPEC, 3)
@@ -125,21 +123,18 @@ class TestMerges:
         plan = ShardPlan.build(SPEC, 4)
         with EmulationSession() as session:
             direct = session.sweep(SPEC)
-            rows = {s.index: session.sweep(s.spec).points
-                    for s in random.Random(7).sample(plan.shards,
-                                                     len(plan.shards))}
-        merged = plan.merge_sweeps([rows[i] for i in range(len(plan.shards))])
-        assert merged.points == direct.points
+            payloads = {s.index: _sweep_payload(session, s.spec)
+                        for s in random.Random(7).sample(plan.shards,
+                                                         len(plan.shards))}
+        merged = plan.merge_payloads(
+            [payloads[i] for i in range(len(plan.shards))])
+        assert merged["points"] == sweep_points_to_dicts(direct.points)
 
     def test_merge_payloads_reproduces_the_service_payload(self):
         plan = ShardPlan.build(SPEC, 2)
         with EmulationSession() as session:
             direct = session.sweep(SPEC)
-            payloads = []
-            for shard in plan.shards:
-                sweep = session.sweep(shard.spec)
-                payloads.append(json.loads(json.dumps(  # the HTTP hop
-                    {"points": sweep_points_to_dicts(sweep.points)})))
+            payloads = [_sweep_payload(session, s.spec) for s in plan.shards]
         merged = plan.merge_payloads(payloads)
         assert merged["kind"] == "sweep"
         assert merged["name"] == SPEC.name
@@ -150,7 +145,7 @@ class TestMerges:
     def test_wrong_sized_shard_results_are_rejected(self):
         plan = ShardPlan.build(SPEC, 2)
         with pytest.raises(ValueError, match="expected"):
-            plan.merge_sweeps([[], []])
+            plan.merge_payloads([{"points": []}, {"points": []}])
         dplan = ShardPlan.build(DESIGN_SPEC, 3)
         with pytest.raises(ValueError, match="expected"):
             dplan.merge_reports([[], [], []])
@@ -159,6 +154,3 @@ class TestMerges:
         plan = ShardPlan.build(SPEC, 2)
         with pytest.raises(ValueError, match="merge_reports"):
             plan.merge_reports([[], []])
-        dplan = ShardPlan.build(DESIGN_SPEC, 2)
-        with pytest.raises(ValueError, match="merge_sweeps"):
-            dplan.merge_sweeps([[], []])
