@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.api import EmulationSession, PrecisionPoint, RunSpec, render_sweep
 from repro.experiments import accuracy_table, fig3, fig7, fig8, fig9, fig10, table1
 from repro.nn.zoo import resnet18_convs
 from repro.tile.cluster import simulate_tile_queue
@@ -59,6 +60,37 @@ def ablation_buffer_depth() -> str:
                         title="Ablation: cluster input-buffer depth (backward, MC-IPU(16))")
 
 
+def mc_sweep() -> str:
+    """MC-IPU points through the session sweep: fp16 operands at every
+    serve-cycle count the Figure-3 widths reach, plus fp32 operands (six
+    nibbles; the w=32 point takes the int64 path and floors on all but its
+    top diagonal). The means are printed in full so a change in any row
+    shows, not only a change in the medians."""
+    fp16 = RunSpec(
+        name="mc-fp16", sources=("laplace", "normal", "uniform"),
+        points=tuple(PrecisionPoint(w, 28, True, acc)
+                     for w in (10, 12, 16, 20) for acc in ("fp16", "fp32")),
+        batch=1500, chunks=2, seed=3)
+    fp32 = RunSpec(
+        name="mc-fp32-operands", operand_format="fp32",
+        sources=("laplace", "normal", "uniform"),
+        points=(PrecisionPoint(12, 28, True, "fp32"),
+                PrecisionPoint(32, 48, True, "fp32")),
+        batch=1000, chunks=2, seed=4)
+    blocks = []
+    with EmulationSession() as session:
+        for spec in (fp16, fp32):
+            sweep = session.sweep(spec)
+            blocks.append(render_sweep(sweep, title=spec.name))
+            blocks.append("\n".join(
+                f"{spec.name} {p.source} {p.acc_fmt} w={p.precision}: "
+                f"mean_abs={p.stats.mean_abs_error!r} "
+                f"mean_rel_pct={p.stats.mean_rel_error_pct!r} "
+                f"mean_bits={p.stats.mean_contaminated_bits!r}"
+                for p in sweep.points))
+    return "\n\n".join(blocks)
+
+
 RENDERS = [
     pytest.param("fig7.txt", lambda: fig7.render(fig7.run()), id="fig7"),
     pytest.param("table1.txt", lambda: table1.render(table1.run(samples=48, rng=5)),
@@ -84,6 +116,7 @@ RENDERS = [
                  lambda: accuracy_table.render(accuracy_table.run(
                      precisions=(8, 12), n_eval=32, styles=("plain",))),
                  id="accuracy"),
+    pytest.param("mc_sweep.txt", mc_sweep, id="mc_sweep"),
     pytest.param("ablation_skip_empty.txt", ablation_skip_empty, id="ablation_skip_empty"),
     pytest.param("ablation_buffer_depth.txt", ablation_buffer_depth,
                  id="ablation_buffer_depth"),
