@@ -45,7 +45,7 @@ from repro.ipu.engine import (
 )
 from repro.ipu.reference import cpu_fp32_dot_batch
 from repro.obs.metrics import REGISTRY, counter
-from repro.obs.trace import trace_span
+from repro.obs.trace import current_tracer, trace_span
 from repro.store import ResultStore
 from repro.store.fingerprint import fingerprint as _result_key
 from repro.utils.rng import as_generator
@@ -118,6 +118,19 @@ def _dedup_kernels(points) -> tuple[list[KernelPoint], dict]:
             index[p.kernel_key()] = len(kernels)
             kernels.append(p.kernel_point())
     return kernels, index
+
+
+def _kernel_paths(points: list[KernelPoint], n: int, results) -> dict:
+    """Which engine fast path each kernel point took, as ``engine.kernels``
+    span attributes: its work dtype, and for an MC point the largest
+    serve-cycle count of any row (``None`` for single-cycle points)."""
+    resolved = [p.resolve() for p in points]
+    return {
+        "work_dtypes": [np.dtype(r.work_dtype(n)).name for r in resolved],
+        "max_serve_cycles": [
+            int(res.alignment_cycles.max(initial=1)) if r.multi_cycle else None
+            for r, res in zip(resolved, results)],
+    }
 
 
 class EmulationSession:
@@ -320,21 +333,23 @@ class EmulationSession:
         with executor.lock:
             self.stats.kernel_rows += rows * len(points)
             self.stats.parallel_batches += int(parallel)
-        if in_task:
-            # a task on the backend's own pool (a sweep chunk) runs inline:
-            # waiting on that pool from one of its threads could deadlock it
-            with trace_span("engine.kernels", rows=rows, kernels=len(points),
-                            parallel=True, backend=executor.name), \
-                    trace_span("executor.chunk", backend=executor.name, rows=rows):
-                return fp_ip_points(pa, pb, points, chunk_rows=self.chunk_rows)
-        if not parallel:
-            with trace_span("engine.kernels", rows=rows, kernels=len(points),
-                            parallel=False):
-                return fp_ip_points(pa, pb, points, chunk_rows=self.chunk_rows)
+        attrs = {"backend": executor.name} if parallel else {}
         with trace_span("engine.kernels", rows=rows, kernels=len(points),
-                        parallel=True, backend=executor.name):
-            return executor.run_points(pa, pb, points, shape,
-                                       chunk_rows=self.chunk_rows)
+                        parallel=parallel, **attrs) as span:
+            if in_task:
+                # a task on the backend's own pool (a sweep chunk) runs
+                # inline: waiting on that pool from one of its threads
+                # could deadlock it
+                with trace_span("executor.chunk", backend=executor.name, rows=rows):
+                    results = fp_ip_points(pa, pb, points, chunk_rows=self.chunk_rows)
+            elif parallel:
+                results = executor.run_points(pa, pb, points, shape,
+                                              chunk_rows=self.chunk_rows)
+            else:
+                results = fp_ip_points(pa, pb, points, chunk_rows=self.chunk_rows)
+            if current_tracer() is not None:
+                span.set(**_kernel_paths(points, shape[-1], results))
+        return results
 
     @staticmethod
     def _pair_shape(pa: PackedOperands, pb: PackedOperands) -> tuple[int, ...]:

@@ -35,6 +35,7 @@ from __future__ import annotations
 import copy
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -52,6 +53,9 @@ from repro.store import ResultStore
 from repro.store.fingerprint import fingerprint as _fingerprint
 
 __all__ = ["FleetCoordinator", "FleetError", "LocalEndpoint"]
+
+# stats()["stragglers"] keeps only this many of the most recent records
+MAX_STRAGGLERS = 64
 
 
 class FleetError(RuntimeError):
@@ -202,7 +206,7 @@ class FleetCoordinator:
                           for _ in self.endpoints]
         self._local: LocalEndpoint | None = None
         self._pool: ThreadPoolExecutor | None = None
-        self._stragglers: list[dict] = []
+        self._stragglers: deque[dict] = deque(maxlen=MAX_STRAGGLERS)
         # per-endpoint counter keys, metric labels and stats rows must be
         # unique, and two default LocalEndpoints share one url: suffix
         # "#<index>" there
@@ -438,10 +442,11 @@ class FleetCoordinator:
             local.service.close()
 
     def _note_stragglers(self, durations: list[float], total: float) -> None:
-        """Record every unit of work that took over twice the median."""
+        """Record every unit of work that took over twice the lower median
+        (in a 2-item fan-out, over twice the faster item)."""
         if len(durations) < 2:
             return
-        median = sorted(durations)[len(durations) // 2]
+        median = sorted(durations)[(len(durations) - 1) // 2]
         if median <= 0:
             return
         with self._lock:

@@ -39,11 +39,11 @@ computed at the *highest* safe precision of the group; each lower precision
 is derived by one scalar in-place shift, which is exact because nested
 floors compose (``floor(floor(x/2^a)/2^b) == floor(x/2^(a+b))``). Per-point
 lane masking folds into the reduction (``einsum("ijkl,kl->ijk")``), so no
-masked temporary is ever materialized. The MC serve loop hoists the product
-out of the cycle loop and, when the adder-tree words provably fit (see
-``_pair_headroom``), serves two cycles per numpy op by scaling the earlier
-cycle's words into the high bits of the shared lanes (int64 multi-nibble
-packing). One buffer pool is reused across all chunks and points of a call.
+masked temporary is ever materialized. The MC serve loop shifts each live
+lane once, in place, by its residual shift within its own serve cycle
+(always in ``[0, sp]``), then reduces every occupied cycle from that one
+tensor with the cycle's lane mask. One buffer pool is reused across all
+chunks and points of a call.
 
 The kernels are bit-identical to the scalar golden model in
 :mod:`repro.ipu.ipu` and to the frozen seed kernel in
@@ -336,8 +336,7 @@ def fp_ip_points(
             dtype = _as_dtype(work_dtype) or r.work_dtype(n)
             if r.multi_cycle:
                 regs[idx], n_aligns[idx] = _mc_fused(
-                    na_p, nb_p, shifts, safe_shift, r, frac, k_total,
-                    dtype, bufs)
+                    na_p, nb_p, shifts, r, frac, k_total, dtype, bufs)
             else:
                 groups.setdefault(dtype, []).append((idx, r))
         for dtype, members in groups.items():
@@ -403,9 +402,9 @@ def _diagonal_pairs(d: int, k_total: int):
 class _ChunkBuffers:
     """Work-buffer pool shared across all chunks and points of one call.
 
-    Keyed by (shape, dtype, tag) so the product tensor, its scratch twin,
-    and the tree accumulator each persist across iterations instead of
-    being reallocated per pass.
+    Keyed by (shape, dtype, tag) so the operand planes, the product tensor
+    and the tree accumulator each persist across chunks and points instead
+    of being reallocated per pass.
     Buffers are handed out as-is — every consumer fully overwrites what it
     reads — so reuse cannot alias into results.
     """
@@ -440,6 +439,23 @@ def _register_from_trees(trees, k_total, frac, sp, coarse, register):
             register += tree_d << shift_left
 
 
+def _products(na_p, nb_p, up, dtype, bufs):
+    """The fused ``(K, K, rows, n)`` product tensor in the work dtype, every
+    pass pre-shifted left by ``up`` (through the ``a`` operand)."""
+    k_total, cb, n = na_p.shape
+    na_g = bufs.get((k_total, cb, n), dtype)
+    np.copyto(na_g, na_p, casting="unsafe")
+    if up:
+        na_g <<= up
+    nb_g = nb_p
+    if nb_p.dtype != np.dtype(dtype):
+        nb_g = bufs.get((k_total, cb, n), dtype, tag=1)
+        np.copyto(nb_g, nb_p, casting="unsafe")
+    prod = bufs.get((k_total, k_total, cb, n), dtype)
+    np.multiply(na_g[:, None], nb_g[None, :], out=prod)
+    return prod
+
+
 def _single_cycle_fused(na_p, nb_p, shifts, safe_shift, members, frac, k_total,
                         dtype, bufs, out_regs):
     """All single-cycle points of one work dtype from one product tensor.
@@ -457,16 +473,7 @@ def _single_cycle_fused(na_p, nb_p, shifts, safe_shift, members, frac, k_total,
     up_top, down_top = max(sp_top, 0), max(-sp_top, 0)
     cap = 31 if dtype is np.int32 else 63
 
-    na_g = bufs.get((k_total, cb, n), dtype)
-    np.copyto(na_g, na_p, casting="unsafe")
-    if up_top:
-        na_g <<= up_top
-    nb_g = nb_p
-    if nb_p.dtype != np.dtype(dtype):
-        nb_g = bufs.get((k_total, cb, n), dtype, tag=1)
-        np.copyto(nb_g, nb_p, casting="unsafe")
-    prod = bufs.get((k_total, k_total, cb, n), dtype)
-    np.multiply(na_g[:, None], nb_g[None, :], out=prod)
+    prod = _products(na_p, nb_p, up_top, dtype, bufs)
     # dead shifts (>= 9 + up) all floor to 0/-1; clamping at the dtype's
     # shift limit keeps the count defined without changing any result bit
     rs = np.minimum(safe_shift + down_top, cap).astype(dtype)
@@ -489,108 +496,39 @@ def _single_cycle_fused(na_p, nb_p, shifts, safe_shift, members, frac, k_total,
         out_regs[idx] = register
 
 
-def _pair_headroom(n: int, up: int, sp: int, dtype) -> bool:
-    """True when two serve cycles can share one lane word: scaling the
-    earlier cycle's lane words by ``2**sp`` must leave the *n-lane
-    adder-tree sum* provably inside the work dtype (the reductions run in
-    the work dtype, not in int64), mirroring ``work_dtype``'s gate extended
-    by ``sp`` bits."""
-    cap_bits, bound = (22, 2**31) if dtype is np.int32 else (53, 2**63)
-    return up + sp <= cap_bits and (n * _PRODUCT_MAG) << (up + sp) < bound
+def _mc_fused(na_p, nb_p, shifts, r, frac, k_total, dtype, bufs):
+    """Fused MC serve-loop kernel: one shift per lane, one reduction per
+    occupied serve cycle.
 
-
-def _mc_fused(na_p, nb_p, shifts, safe_shift, r, frac, k_total, dtype, bufs):
-    """Fused MC serve-loop kernel: product hoisted out of the cycle loop,
-    two cycles per numpy op when the packed words fit (``_pair_headroom``).
-
-    In a paired step the earlier cycle's words are left-shifted by ``sp``
-    into the high bits of the shared lanes, so one reduction yields
-    ``T_all = tree_c * 2**sp + tree_next`` per pass. Diagonals whose
-    register shifts are exact for both cycles update straight from
-    ``T_all``; flooring diagonals recover the per-cycle trees exactly
-    (``tree_next`` by a masked per-pass reduction, ``tree_c`` by
-    subtraction — both integer-exact) and floor per pass per cycle like
-    the golden model. Pairing is skipped when a pair would floor more
-    than one pass (measured: the recovery cost outweighs the fused op).
+    A live lane served in cycle ``c`` has its alignment shift ``s`` in
+    ``(c*sp, (c+1)*sp]`` (``[0, sp]`` for ``c = 0``), so its residual shift
+    ``s - c*sp`` lies in ``[0, sp]``: exact in the adder tree. The product
+    tensor is right-shifted in place once, each lane by its own residual;
+    cycle ``c`` is then one masked reduction of that tensor, entered into
+    the register at coarse shift ``c*sp``. Right register shifts still
+    floor per pass and per cycle, as the golden model does.
     """
     cb, n = shifts.shape
-    sw, sp, up = r.software_precision, r.sp, r.up
-    cap = 31 if dtype is np.int32 else 63
-    masked = shifts >= sw
-    cyc = np.where(masked, -1, serve_cycles(shifts, sp))
-    n_align = np.maximum(cyc.max(axis=1, initial=-1), 0) + 1
-    max_cycles = int(n_align.max(initial=1))
+    sw, sp = r.software_precision, r.sp
+    # serve cycle and residual shift per lane from tables indexed by the
+    # shift clamped at sw: entry sw is every masked lane (cycle -1, and a
+    # residual that only has to be a valid count: reductions weigh it 0)
+    table = np.arange(sw + 1)
+    cycle_of = serve_cycles(table, sp)
+    cycle_of[sw] = -1
+    lane = np.minimum(shifts, sw)
+    cyc = cycle_of.astype(np.int16)[lane]
+    n_align = np.maximum(cyc.max(axis=1, initial=-1), 0).astype(np.int64) + 1
 
-    na_g = bufs.get((k_total, cb, n), dtype)
-    np.copyto(na_g, na_p, casting="unsafe")
-    if up:
-        na_g <<= up
-    nb_g = nb_p
-    if nb_p.dtype != np.dtype(dtype):
-        nb_g = bufs.get((k_total, cb, n), dtype, tag=1)
-        np.copyto(nb_g, nb_p, casting="unsafe")
-    prod = bufs.get((k_total, k_total, cb, n), dtype)
-    np.multiply(na_g[:, None], nb_g[None, :], out=prod)
+    prod = _products(na_p, nb_p, r.up, dtype, bufs)
+    residual = (table - np.maximum(cycle_of, 0) * sp).clip(0, sp).astype(dtype)
+    np.right_shift(prod, residual[lane][None, None], out=prod)
 
-    pair_fits = _pair_headroom(n, up, sp, dtype)
-    shifted = bufs.get((k_total, k_total, cb, n), dtype, tag=1)
     trees = bufs.get((k_total, k_total, cb), dtype)
     register = np.zeros(cb, dtype=np.int64)
-
-    def floor_passes(cn: int) -> int:
-        return sum(
-            len(_diagonal_pairs(d, k_total))
-            for d in range(2 * k_total - 1)
-            if 4 * d - frac - sp - cn * sp + ACC_FRACTION_BITS < 0
-        )
-
-    c = 0
-    while c < max_cycles:
+    for c in range(int(n_align.max(initial=1))):
         serving = cyc == c
-        if not serving.any():
-            c += 1
-            continue
-        cn = c + 1
-        serving_n = (cyc == cn) if cn < max_cycles else None
-        paired = (pair_fits and serving_n is not None and serving_n.any()
-                  and floor_passes(cn) <= 1)
-        if not paired:
-            t_c = np.clip(safe_shift - c * sp, 0, cap).astype(dtype)
-            np.right_shift(prod, t_c[None, None], out=shifted)
-            np.einsum("ijkl,kl->ijk", shifted, serving.astype(dtype), out=trees)
+        if serving.any():
+            np.einsum("ijkl,kl->ijk", prod, serving.astype(dtype), out=trees)
             _register_from_trees(trees, k_total, frac, sp, c * sp, register)
-            c += 1
-            continue
-        either = serving | serving_n
-        t_pair = np.where(serving, safe_shift - c * sp,
-                          np.clip(safe_shift - cn * sp, 0, cap)).astype(dtype)
-        np.right_shift(prod, t_pair[None, None], out=shifted)
-        scale = serving.astype(dtype) * dtype(sp)
-        np.left_shift(shifted, scale[None, None], out=shifted)
-        np.einsum("ijkl,kl->ijk", shifted, either.astype(dtype), out=trees)
-        inv_n = serving_n.astype(dtype)
-        for d in range(2 * k_total - 1):
-            sl_n = 4 * d - frac - sp - cn * sp + ACC_FRACTION_BITS
-            sl_c = sl_n + sp
-            pairs = _diagonal_pairs(d, k_total)
-            if sl_n >= 0:
-                tree_d = None
-                for i, j in pairs:
-                    tree = trees[i, j]
-                    tree_d = tree.astype(np.int64) if tree_d is None else tree_d + tree
-                register += tree_d << sl_n
-                continue
-            tree_d_c = None
-            for i, j in pairs:
-                t_n = np.einsum("kl,kl->k", shifted[i, j], inv_n).astype(np.int64)
-                register += t_n >> (-sl_n)
-                t_c2 = trees[i, j] - t_n  # == tree_c * 2**sp, exact
-                if sl_c >= 0:
-                    tree_d_c = t_c2 if tree_d_c is None else tree_d_c + t_c2
-                else:
-                    register += (t_c2 >> sp) >> (-sl_c)
-            if tree_d_c is not None:
-                register += (tree_d_c >> sp) << sl_c
-        c += 2
     return register, n_align
-

@@ -9,6 +9,7 @@ import pytest
 from repro.api import DesignSweepSpec, PrecisionPoint, RunSpec
 from repro.chaos import RetryPolicy
 from repro.fleet import FleetCoordinator, FleetError, LocalEndpoint, ShardPlan
+from repro.fleet.coordinator import MAX_STRAGGLERS
 from repro.service import ServiceClient, ServiceError, ServiceServer, SweepService
 from repro.store import ResultStore
 
@@ -316,6 +317,25 @@ class TestStragglers:
             assert record["seconds"] >= 1.0
             assert record["seconds"] > 2 * record["median_seconds"]
             assert record["sweep_seconds"] >= record["seconds"]
+
+
+    def test_two_item_fan_out_flags_the_slow_item(self):
+        """The lower median: of two items, the slow one is measured
+        against the fast one."""
+        coordinator = FleetCoordinator([LocalEndpoint(None)])
+        coordinator._note_stragglers([0.01, 5.0], 5.0)
+        coordinator._note_stragglers([0.02, 0.03], 0.03)
+        assert [(s["shard"], s["median_seconds"])
+                for s in coordinator.stats()["stragglers"]] == [(1, 0.01)]
+
+    def test_record_keeps_only_the_most_recent(self):
+        coordinator = FleetCoordinator([LocalEndpoint(None)])
+        for k in range(3 * MAX_STRAGGLERS):
+            coordinator._note_stragglers([0.01, 1.0 + k], 1.0 + k)
+        stragglers = coordinator.stats()["stragglers"]
+        assert len(stragglers) == MAX_STRAGGLERS
+        assert stragglers[-1]["seconds"] == 3 * MAX_STRAGGLERS
+        assert stragglers[0]["seconds"] == 2 * MAX_STRAGGLERS + 1
 
 
 def _shard_threads() -> list[threading.Thread]:

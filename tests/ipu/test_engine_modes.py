@@ -24,9 +24,9 @@ def overflow_regime_operands(n=100_000):
 
     All-positive, all-nibbles-lit lanes maximize the n-lane tree sums, and
     the exponent split puts half the lanes in serve cycle 0 and half in
-    cycle 1, so the MC pairing step (which scales cycle-0 words by
-    ``2**sp``) is exercised right where its headroom proof must account
-    for n — a regression guard for the paired-sum overflow.
+    cycle 1, so each cycle's n-lane reduction runs in the int32 work dtype
+    with sums near the ``n * 225 * 2**up < 2**31`` gate — a regression
+    guard for the per-cycle int32 reduction.
     """
     a = np.full((2, n), 1.9375)
     a[:, n // 2:] = 1.9375 * 2.0**-7
@@ -67,10 +67,9 @@ class TestFusedUnfusedParity:
             assert_results_equal(f, s, p)
 
     def test_bit_identical_near_int32_sum_boundary(self):
-        """n large enough that the int32 work dtype still applies but the
-        paired MC reduction would wrap without the n-aware headroom gate
-        (w=15 -> sp=6: int32 admits n up to ~150k, yet n*225 << (up+sp)
-        is far past 2**31)."""
+        """n large enough that the int32 work dtype only just applies
+        (w=15 -> up=6: int32 admits n up to ~150k): every per-cycle n-lane
+        reduction runs in int32 near its bound and must not wrap."""
         a, b = overflow_regime_operands()
         points = [KernelPoint(15, 28, multi_cycle=True),
                   KernelPoint(12, 28, multi_cycle=True)]

@@ -9,9 +9,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.api import EmulationSession, RunSpec
+from repro.api import session as session_mod
+from repro.ipu.ehu import mc_cycle_counts
+from repro.ipu.engine import KernelPoint, pack_operands
 from repro.obs.trace import install
 
 # Big enough to engage the parallel executors (rows >= MIN_PARALLEL_ROWS).
@@ -66,6 +70,49 @@ class TestByteIdentity:
         points, spans, _ = _sweep_traced(backend)
         assert spans  # armed actually recorded something
         assert _stats_dicts(points) == _stats_dicts(reference_points)
+
+
+class TestKernelPathAttributes:
+    """Armed, every ``engine.kernels`` span says which fast path its points
+    took; disarmed, none of that is computed."""
+
+    POINTS = [KernelPoint(12, 28, multi_cycle=True), KernelPoint(16),
+              KernelPoint(20, 28, multi_cycle=True), KernelPoint(38)]
+
+    @staticmethod
+    def _plans(rows):
+        rng = np.random.default_rng(11)
+        a = rng.laplace(0, 1, (rows, 16)) * np.exp2(rng.integers(-8, 9, (rows, 16)))
+        return pack_operands(a), pack_operands(rng.normal(0, 1, (rows, 16)))
+
+    @pytest.mark.parametrize("backend, rows", [("serial", 300), ("thread", 8192)])
+    def test_traced_mc_call_records_dtypes_and_serve_cycles(self, backend, rows):
+        pa, pb = self._plans(rows)
+        with install() as tracer:
+            with EmulationSession(backend=backend, workers=2) as session:
+                results = session.run_kernels(pa, pb, self.POINTS)
+        kernels = [s for s in tracer.export() if s["name"] == "engine.kernels"]
+        assert len(kernels) == 1
+        attrs = kernels[0]["attrs"]
+        assert attrs["parallel"] is (backend == "thread")
+        assert attrs["work_dtypes"] == ["int32", "int32", "int32", "int64"]
+        exps = pa.exp.astype(np.int64) + pb.exp
+        shifts = exps.max(axis=1, keepdims=True) - exps
+        want = [int(mc_cycle_counts(shifts, shifts >= 28, p.adder_width - 9,
+                                    p.adder_width, 28).max())
+                if p.multi_cycle else None for p in self.POINTS]
+        assert attrs["max_serve_cycles"] == want
+        assert want[0] > want[2] > 1
+        assert want[0] == int(results[0].alignment_cycles.max())
+
+    def test_disarmed_call_computes_no_path_attributes(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("path attributes computed while disarmed")
+
+        monkeypatch.setattr(session_mod, "_kernel_paths", refuse)
+        pa, pb = self._plans(64)
+        with EmulationSession() as session:
+            session.run_kernels(pa, pb, self.POINTS)
 
 
 _HASHSEED_SCRIPT = """\
