@@ -1,18 +1,18 @@
 """Pluggable execution backends: one interface, serial / thread.
 
-Every backend runs :func:`repro.ipu.engine.fp_ip_points` over a batch split
-into spans (:meth:`run_points`), maps a function over items (:meth:`map`),
-and counts its fan-out straight into the :class:`ExecutorStats` it was built
-with — its session's stats object, so session stats are live and need no
-sync step:
+Every backend maps a function over items (:meth:`map`) and counts its
+fan-out straight into the :class:`ExecutorStats` it was built with — its
+session's stats object, so session stats are live and need no sync step:
 
 ``SerialExecutor``
-    runs everything inline; the reference semantics.
+    runs everything inline; the reference semantics. Its sessions call
+    :func:`repro.ipu.engine.fp_ip_points` directly.
 
 ``ThreadExecutor``
     broadcast-slabs the operand plans and runs :func:`fp_ip_points` per span
-    on a thread pool. NumPy releases the GIL inside the kernel's hot loops,
-    so this scales on multi-core hosts without any serialization cost.
+    on a thread pool (:meth:`ThreadExecutor.run_points`). NumPy releases the
+    GIL inside the kernel's hot loops, so this scales on multi-core hosts
+    without any serialization cost.
 
 Both also queue single tasks (:meth:`SerialExecutor.submit`): the serial
 backend runs one at once and hands back a finished future, the thread
@@ -224,9 +224,6 @@ class SerialExecutor:
         future = Future()
         future.set_result(fn(*args))
         return future
-
-    def run_points(self, pa, pb, points, shape, chunk_rows=None):
-        return fp_ip_points(pa, pb, points, chunk_rows=chunk_rows)
 
     def map(self, fn, items) -> list:
         return [fn(item) for item in items]

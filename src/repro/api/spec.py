@@ -173,6 +173,8 @@ class RunSpec:
             )
         if self.batch < 1 or self.n < 1 or self.chunks < 1:
             raise ValueError("batch, n, and chunks must all be >= 1")
+        for p in self.points:  # the int64 adder-tree bound depends on n
+            p.kernel_point().resolve().work_dtype(self.n)
 
     @classmethod
     def grid(

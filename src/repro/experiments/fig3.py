@@ -3,18 +3,11 @@
 from __future__ import annotations
 
 from repro.analysis.sweeps import PrecisionSweep, recommended_min_precision
-from repro.api import EmulationSession, RunSpec
+from repro.api import EmulationSession, RunSpec, render_sweep
 from repro.fp.formats import FP16, FP32
 from repro.utils.rng import as_generator
-from repro.utils.table import render_table
 
 __all__ = ["run", "render", "spec_for"]
-
-METRICS = (
-    ("median_abs_error", "absolute error (median)"),
-    ("median_rel_error_pct", "absolute relative error % (median)"),
-    ("median_contaminated_bits", "contaminated bits (median)"),
-)
 
 
 def spec_for(
@@ -51,17 +44,10 @@ def run(
 
 def render(sweep: PrecisionSweep) -> str:
     blocks = []
-    precisions = sorted({p.precision for p in sweep.points})
     for acc in ("fp16", "fp32"):
-        for metric, label in METRICS:
-            headers = ["source"] + [str(w) for w in precisions]
-            rows = []
-            for source in sweep.sources():
-                series = dict(sweep.series(source, acc, metric))
-                rows.append([source] + [series.get(w) for w in precisions])
-            blocks.append(
-                render_table(headers, rows, title=f"Figure 3 [{acc} accumulator] {label}")
-            )
+        blocks.append(render_sweep(
+            PrecisionSweep([p for p in sweep.points if p.acc_fmt == acc]),
+            title="Figure 3"))
         blocks.append(
             f"=> minimum IPU precision for {acc} accumulation (median contaminated "
             f"bits == 0 on the worst source): {recommended_min_precision(sweep, acc)} "

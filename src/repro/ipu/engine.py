@@ -155,14 +155,20 @@ class _ResolvedPoint:
         return max(self.sp, 0)
 
     def work_dtype(self, n: int):
-        """int32 when every adder-tree word and its n-lane sum provably fit.
+        """int32 when every adder-tree word and its n-lane sum provably fit,
+        else int64; ``ValueError`` when not even int64 holds the sum.
 
         ``|word| <= 225 << up`` and the int32 path clamps dead shifts at 31,
         which is only floor-equivalent while ``9 + up <= 31``.
         """
-        if self.up <= 22 and (n * _PRODUCT_MAG) << self.up < 2**31:
+        bound = (n * _PRODUCT_MAG) << self.up
+        if self.up <= 22 and bound < 2**31:
             return np.int32
-        return np.int64
+        if bound < 2**63:
+            return np.int64
+        raise ValueError(
+            f"IPU({self.point.adder_width}) over {n} lanes overflows the int64 "
+            f"adder tree (n * 225 << {self.up} >= 2**63)")
 
 
 class PackedOperands:
@@ -287,6 +293,9 @@ def fp_ip_points(
     n = shape[-1]
     lead = shape[:-1]
     rows = int(np.prod(lead, dtype=np.int64))
+    dtypes = [r.work_dtype(n) for r in resolved]  # rejects int64 overflow
+    if work_dtype is not None:
+        dtypes = [np.dtype(work_dtype).type] * len(resolved)
 
     a_sign, a_exp, a_nib = _broadcast_plan(pa, shape)
     b_sign, b_exp, b_nib = _broadcast_plan(pb, shape)
@@ -332,8 +341,7 @@ def fp_ip_points(
         np.copyto(nb_p.reshape(chunk), b_planes[:, start:stop])
         na_p *= 1 - 2 * neg.astype(np.int32)  # product signs as a +-1 factor
         groups: dict[type, list[tuple[int, _ResolvedPoint]]] = {}
-        for idx, r in enumerate(resolved):
-            dtype = _as_dtype(work_dtype) or r.work_dtype(n)
+        for idx, (r, dtype) in enumerate(zip(resolved, dtypes)):
             if r.multi_cycle:
                 regs[idx], n_aligns[idx] = _mc_fused(
                     na_p, nb_p, shifts, r, frac, k_total, dtype, bufs)
@@ -368,13 +376,6 @@ def fp_ip_points(
         )
         for i in range(len(resolved))
     ]
-
-
-def _as_dtype(work_dtype):
-    """Normalize the ``work_dtype`` testing hook to a scalar type or None."""
-    if work_dtype is None:
-        return None
-    return np.dtype(work_dtype).type
 
 
 def _broadcast_plan(plan: PackedOperands, shape: tuple[int, ...]):

@@ -44,6 +44,12 @@ def fp_ip_batch_seed(
             f"single-cycle IPU({adder_width}) cannot reach software precision {sw}; "
             "set multi_cycle=True"
         )
+    if multi_cycle and adder_width < sw and sw > 59:
+        # live MC lanes then shift past the 58-bit clamp below, and the
+        # seed loop truncates them: refuse rather than return wrong rows
+        raise ValueError(
+            f"the seed kernel is a valid reference for MC points only up to "
+            f"software precision 59, got {sw}")
 
     da, db = decode_array(in_fmt, a), decode_array(in_fmt, b)
     k_total = fp_nibble_count(in_fmt)

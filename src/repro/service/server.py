@@ -447,8 +447,8 @@ class SweepService:
             "queue": {"workers": self.queue_workers, "cap": self.queue_cap,
                       "depth": self._queued,
                       "rejected_busy": counts.rejected_busy},
-            # per-job wall time: what the fleet coordinator sizes retry
-            # hints and shard budgets from
+            # per-job wall time, for operators and dashboards (the 429
+            # Retry-After hint reads the same running average)
             "timing": {
                 "jobs_completed": counts.jobs_completed,
                 "avg_job_seconds": (

@@ -109,6 +109,10 @@ class TestRunSpec:
             RunSpec(operand_format="nope")
         with pytest.raises(ValueError):
             RunSpec(batch=0)
+        # the int64 adder-tree bound is checked against the spec's own n
+        with pytest.raises(ValueError, match="overflows"):
+            RunSpec(points=(PrecisionPoint(64),), n=16)
+        assert RunSpec(points=(PrecisionPoint(60),), n=16).points
 
     def test_engine_field(self):
         """The kernel engine is fixed: a legacy ``"engine"`` key in spec JSON

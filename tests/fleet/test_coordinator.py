@@ -8,9 +8,9 @@ import pytest
 
 from repro.api import DesignSweepSpec, PrecisionPoint, RunSpec
 from repro.chaos import RetryPolicy
-from repro.fleet import FleetCoordinator, FleetError, LocalEndpoint, ShardPlan
+from repro.fleet import FleetCoordinator, FleetError, LocalEndpoint
 from repro.fleet.coordinator import MAX_STRAGGLERS
-from repro.service import ServiceClient, ServiceError, ServiceServer, SweepService
+from repro.service import ServiceError, ServiceServer, SweepService
 from repro.store import ResultStore
 
 SPEC = RunSpec.grid(name="fleet-spec", precisions=(10, 12, 14, 16),
@@ -80,20 +80,6 @@ class _NeverReachable:
 
 
 class TestFanOut:
-    @pytest.mark.parametrize("spec,kind", [(SPEC, "sweep"),
-                                           (DESIGN_SPEC, "design-sweep")])
-    def test_http_fleet_is_byte_identical_to_one_service(
-            self, fleet_servers, reference_service, spec, kind):
-        a, b = fleet_servers
-        coordinator = FleetCoordinator([a.url, b.url], shards=3)
-        merged = coordinator.run(spec)
-        direct = _direct_payload(reference_service, spec, kind)
-        assert json.dumps(merged, sort_keys=True) == \
-               json.dumps(direct, sort_keys=True)
-        stats = coordinator.stats()
-        assert stats["shards_completed"] == 3
-        assert sum(e["jobs"] for e in stats["endpoints"]) == 3
-
     def test_local_endpoints_and_spec_dicts_work_too(self, reference_service):
         a, b = SweepService(), SweepService()
         try:
@@ -399,24 +385,6 @@ class TestLifetimePool:
 
 
 class TestFleetCLI:
-    def test_fleet_run_matches_spec_replay(self, fleet_servers, tmp_path,
-                                           capsys):
-        """The CI contract: --fleet output is byte-identical to --spec."""
-        from repro.experiments.runner import main
-
-        a, b = fleet_servers
-        path = tmp_path / "spec.json"
-        SPEC.to_json(path)
-        assert main(["--spec", str(path)]) == 0
-        direct = capsys.readouterr().out
-        assert main(["--spec", str(path), "--fleet", f"{a.url},{b.url}",
-                     "--shards", "3"]) == 0
-        via_fleet = capsys.readouterr().out
-        strip = lambda out: [l for l in out.splitlines()
-                             if not l.startswith("[")]
-        assert strip(direct) == strip(via_fleet)
-        assert any(l.startswith("[fleet ") for l in via_fleet.splitlines())
-
     def test_fleet_with_unreachable_endpoints_degrades_locally(
             self, tmp_path, capsys):
         """Unreachable endpoints no longer kill the run: shards fall back to

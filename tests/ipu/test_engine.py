@@ -301,6 +301,34 @@ def test_point_validation_matches_seed():
         KernelPoint(3).resolve()  # unbuildably narrow adder
 
 
+def test_int64_adder_tree_bound():
+    """``(n * 225) << up < 2**63``: at n = 16, IPU(60) still matches the
+    golden model over extreme fp32 rows, and IPU(64) is refused, with or
+    without the ``work_dtype`` override."""
+    rng = np.random.default_rng(43)
+    a, b = fp32_extreme_operands(rng, (48, 16)), fp32_extreme_operands(rng, (48, 16))
+    pa, pb = pack_operands(a, FP32), pack_operands(b, FP32)
+    with np.errstate(over="ignore"):  # products near 2**254 round to inf
+        got = run_point(pa, pb, 60)
+    bits32 = lambda row: [int(v) for v in np.asarray(row, np.float32).view(np.uint32)]
+    for r in range(len(a)):
+        unit = InnerProductUnit(IPUConfig(n_inputs=16, adder_width=60, software_precision=60))
+        with np.errstate(over="ignore"):
+            unit.fp_dot(bits32(a[r]), bits32(b[r]), FP32, FP32)
+        sig, scale = unit.accumulator.exact()
+        assert float(sig) * 2.0**scale == got.values[r], r
+    for work_dtype in (None, np.int64, np.int32):
+        with pytest.raises(ValueError, match="overflows"):
+            fp_ip_points(pa, pb, [KernelPoint(64)], work_dtype=work_dtype)
+
+
+def test_seed_kernel_refuses_mc_points_past_its_clamp():
+    a = np.ones((2, 16))
+    with pytest.raises(ValueError, match="software precision 59"):
+        fp_ip_batch_seed(a, a, 12, 64, in_fmt=FP32, multi_cycle=True)
+    fp_ip_batch_seed(a, a, 12, 59, in_fmt=FP32, multi_cycle=True)
+
+
 def test_mismatched_formats_rejected():
     a = np.ones((2, 8))
     with pytest.raises(ValueError):

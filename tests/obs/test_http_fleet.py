@@ -177,25 +177,6 @@ class TestFleetAcceptance:
             if blob.is_file():
                 assert b"trace_spans" not in blob.read_bytes()
 
-    def test_warm_fleet_replay_identical_under_tracing(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        s1 = SweepService(backend="thread", workers=2)
-        fleet = FleetCoordinator([LocalEndpoint(s1, "a")], store=store)
-        try:
-            cold = fleet.run(SMALL_SPEC.to_dict(), kind="sweep")
-            with install() as tracer:
-                warm = fleet.run(SMALL_SPEC.to_dict(), kind="sweep")
-                spans = tracer.export()
-        finally:
-            fleet.close()
-            s1.close()
-        assert json.dumps(cold, sort_keys=True) == \
-            json.dumps(warm, sort_keys=True)
-        assert fleet.stats()["shards_skipped_warm"] >= 1
-        # warm shards are store-served: hits show up as store.get spans
-        gets = [s for s in spans if s["name"] == "store.get"]
-        assert any(s["attrs"].get("hit") for s in gets)
-
 
 class TestMetricsEndpoint:
     _SAMPLE = re.compile(

@@ -143,25 +143,6 @@ class TestResume:
 
 
 class TestServiceParity:
-    def test_v1_search_payload_matches_direct_run(self, tmp_path):
-        spec = quick_spec(name="svc")
-        with SearchSession(store=ResultStore(tmp_path / "direct")) as sess:
-            direct = sess.run(spec)
-        service = SweepService(store=ResultStore(tmp_path / "svc"))
-        try:
-            job, coalesced = service.submit("search", spec.to_dict())
-            assert not coalesced
-            got = service.job(job.id, wait=300.0)
-            assert got.status == "done", got.error
-            payload = json.loads(json.dumps(got.result))  # the HTTP hop
-        finally:
-            service.close()
-        assert payload["kind"] == "search"
-        assert payload["name"] == "svc"
-        assert payload["fingerprint"] == spec.fingerprint()
-        assert json.dumps(payload["result"], sort_keys=True) == as_bytes(direct)
-        assert payload["rendered"] == render_search(direct)
-
     def test_search_jobs_coalesce_on_fingerprint(self, tmp_path):
         service = SweepService(store=ResultStore(tmp_path), queue_workers=1)
         try:

@@ -339,16 +339,6 @@ class TestStoreBackedSweeps:
         with EmulationSession() as session:
             return session.sweep(SPEC)
 
-    def test_cold_and_warm_bit_identical(self, tmp_path, reference):
-        with EmulationSession(store=tmp_path / "s") as session:
-            cold = session.sweep(SPEC)
-        with EmulationSession(store=tmp_path / "s") as session:
-            warm = session.sweep(SPEC)
-            store = session.store
-        assert cold.points == reference.points
-        assert warm.points == reference.points
-        assert store.stats.hits >= len(SPEC.sources)
-
     def test_explicit_rng_disables_persistence(self, tmp_path, reference):
         store = ResultStore(tmp_path / "rng")
         with EmulationSession(store=store) as session:
