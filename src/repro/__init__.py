@@ -3,7 +3,7 @@ Precision DNN Accelerators" (Abdel-Aziz et al., MLSys 2021).
 
 Subpackages
 -----------
-- ``repro.fp``       -- FP formats, bit-exact softfloat, Kulisch accumulator
+- ``repro.fp``       -- FP formats, vectorized decode, Kulisch accumulator
 - ``repro.nibble``   -- temporal nibble decomposition of INT/FP operands
 - ``repro.ipu``      -- the mixed-precision (MC-)IPU datapath models
 - ``repro.tile``     -- cycle-accurate convolution-tile simulator

@@ -20,6 +20,7 @@ produced the same bits.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -65,6 +66,27 @@ def _result_fingerprint(tag: str, d: dict) -> str:
     d.pop("name", None)
     d.pop("executor", None)
     return _fingerprint({tag: d})
+
+
+def _check_mixture_source(source: str, fmt) -> None:
+    """Fail on a malformed mixture grammar, or on outliers the operand
+    format cannot hold, at spec build time — not halfway through a sweep."""
+    from repro.nn.sampling import MIXTURE_TAIL_LOG2, parse_mixture_source
+
+    peak_log2 = parse_mixture_source(source).outlier_log2_shift + MIXTURE_TAIL_LOG2
+    largest = fmt.decode_value(fmt.max_finite_bits())
+    if peak_log2 >= math.log2(largest):
+        raise ValueError(
+            f"source {source!r} overflows {fmt.name}: its outliers reach "
+            f"2**{peak_log2:g} (shift plus the {MIXTURE_TAIL_LOG2}-bit base-family "
+            f"tail), and the largest finite {fmt.name} is {largest:g}")
+
+
+def _check_adder_tree_bound(points, n: int) -> None:
+    """Fail on points whose ``n``-lane adder-tree sum overflows int64. The
+    bound depends on the lane count, so specs check it, not the points."""
+    for p in points:
+        p.kernel_point().resolve().work_dtype(n)
 
 
 @dataclass(frozen=True)
@@ -157,13 +179,6 @@ class RunSpec:
         ))
         if self.executor is not None and not isinstance(self.executor, ExecutorSpec):
             object.__setattr__(self, "executor", ExecutorSpec.from_dict(self.executor))
-        for source in self.sources:
-            if source.startswith("mixture:"):
-                # fail on malformed mixture grammars at spec build time —
-                # not halfway through a sweep
-                from repro.nn.sampling import parse_mixture_source
-
-                parse_mixture_source(source)
         fmt = parse_format(self.operand_format)
         if fmt.name not in ("fp16", "fp32"):
             # the vectorized engine decodes through native NumPy dtypes only
@@ -171,10 +186,12 @@ class RunSpec:
                 f"operand_format {fmt.name!r} has no vectorized engine path "
                 "(fp16/fp32 only)"
             )
+        for source in self.sources:
+            if source.startswith("mixture:"):
+                _check_mixture_source(source, fmt)
         if self.batch < 1 or self.n < 1 or self.chunks < 1:
             raise ValueError("batch, n, and chunks must all be >= 1")
-        for p in self.points:  # the int64 adder-tree bound depends on n
-            p.kernel_point().resolve().work_dtype(self.n)
+        _check_adder_tree_bound(self.points, self.n)
 
     @classmethod
     def grid(
@@ -458,6 +475,12 @@ class DesignSweepSpec:
             raise ValueError("DesignSweepSpec needs at least one tile")
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
+        # the accuracy half runs on the template's lanes (RunSpec's default
+        # when the spec leaves the template to the session)
+        derived = (DesignPoint(design=d).resolved_precision() for d in self.designs)
+        _check_adder_tree_bound(
+            self.precisions or [p for p in derived if p is not None],
+            RunSpec.n if self.accuracy is None else self.accuracy.n)
 
     @classmethod
     def grid(cls, designs, tiles=("small",), **kwargs) -> "DesignSweepSpec":

@@ -9,10 +9,20 @@ the golden reference for FP-IP error analysis.
 
 from __future__ import annotations
 
-from repro.fp.formats import FPFormat
-from repro.fp.softfloat import decode_exact
+from repro.fp.formats import FPClass, FPFormat
 
-__all__ = ["KulischAccumulator", "exact_inner_product_bits"]
+__all__ = ["KulischAccumulator", "decode_exact", "exact_inner_product_bits"]
+
+
+def decode_exact(fmt: FPFormat, bits: int) -> tuple[int, int]:
+    """Decode finite ``bits`` to exact ``(signed significand, scale)``.
+
+    The value equals ``signed_significand * 2**scale``.
+    """
+    d = fmt.decode(bits)
+    if d.fpclass in (FPClass.INF, FPClass.NAN):
+        raise ValueError("decode_exact requires a finite number")
+    return d.signed_magnitude, d.unbiased_exp - fmt.man_bits
 
 
 class KulischAccumulator:

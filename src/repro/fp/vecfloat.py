@@ -1,11 +1,11 @@
 """Vectorized FP decode over NumPy arrays.
 
 The Figure-3 error sweeps emulate millions of FP16 inner products, so the
-scalar :mod:`repro.fp.softfloat` path is far too slow there. This module
-decodes whole tensors at once into the (sign, unbiased exponent, magnitude)
-triples the IPU datapath consumes. Encoding back to standard formats happens
-through NumPy's own float16/float32 casts (validated against our softfloat
-in the test suite).
+scalar :meth:`FPFormat.decode` is far too slow there. This module decodes
+whole tensors at once into the (sign, unbiased exponent, magnitude) triples
+the IPU datapath consumes; the test suite checks it against the scalar
+decoder. Encoding back to standard formats goes through NumPy's own
+float16/float32 casts.
 """
 
 from __future__ import annotations

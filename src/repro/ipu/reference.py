@@ -15,8 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fp.formats import FP16, FP32, FPFormat
-from repro.fp.kulisch import KulischAccumulator
-from repro.fp.softfloat import decode_exact
+from repro.fp.kulisch import KulischAccumulator, decode_exact
 from repro.ipu.accumulator import ACC_FRACTION_BITS
 
 __all__ = ["exact_fp_ip", "masked_exact_fp_ip", "cpu_fp32_dot", "cpu_fp32_dot_batch"]

@@ -1,7 +1,7 @@
 """From-scratch NumPy DNN substrate: ops, layers, models, workloads."""
 
 from repro.nn import functional
-from repro.nn.datasets import Dataset, make_blob_dataset, make_pattern_dataset
+from repro.nn.datasets import Dataset, make_pattern_dataset
 from repro.nn.layers import (
     AvgPool2d,
     BatchNorm2d,
@@ -16,14 +16,7 @@ from repro.nn.layers import (
     Sequential,
 )
 from repro.nn.models import model_conv_layers, tiny_convnet, tiny_resnet
-from repro.nn.quantize import (
-    QuantParams,
-    calibrate,
-    dequantize,
-    fake_quantize,
-    fake_quantize_fp,
-    quantize,
-)
+from repro.nn.quantize import fake_quantize_fp
 from repro.nn.sampling import (
     BACKWARD_ERROR,
     BACKWARD_WEIGHT,
@@ -46,12 +39,11 @@ from repro.nn.zoo import (
 )
 
 __all__ = [
-    "functional", "Dataset", "make_blob_dataset", "make_pattern_dataset",
+    "functional", "Dataset", "make_pattern_dataset",
     "AvgPool2d", "BatchNorm2d", "Conv2d", "Flatten", "GlobalAvgPool", "Layer",
     "Linear", "MaxPool2d", "ReLU", "Residual", "Sequential",
     "model_conv_layers", "tiny_convnet", "tiny_resnet",
-    "QuantParams", "calibrate", "dequantize", "fake_quantize", "fake_quantize_fp",
-    "quantize",
+    "fake_quantize_fp",
     "BACKWARD_ERROR", "BACKWARD_WEIGHT", "DISTRIBUTIONS", "FORWARD_ACTIVATION",
     "FORWARD_WEIGHT", "TensorModel", "sample_distribution", "sample_model_tensors",
     "sample_operand_batch", "Parameter",

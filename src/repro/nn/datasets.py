@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.utils.rng import as_generator
 
-__all__ = ["Dataset", "make_pattern_dataset", "make_blob_dataset"]
+__all__ = ["Dataset", "make_pattern_dataset"]
 
 
 @dataclass
@@ -69,27 +69,3 @@ def make_pattern_dataset(
     images = (images - images.mean()) / (images.std() + 1e-8)
     return Dataset(images.astype(np.float32), labels.astype(np.int64))
 
-
-def make_blob_dataset(
-    n_samples: int = 1024,
-    image_size: int = 16,
-    n_classes: int = 4,
-    channels: int = 3,
-    rng=None,
-) -> Dataset:
-    """Classes defined by the quadrant position of a bright Gaussian blob."""
-    rng = as_generator(rng)
-    images = rng.normal(0, 0.3, size=(n_samples, channels, image_size, image_size))
-    labels = rng.integers(0, n_classes, size=n_samples)
-    half = image_size // 2
-    yy, xx = np.mgrid[0:image_size, 0:image_size].astype(np.float32)
-    centers = [(half // 2, half // 2), (half // 2, half + half // 2),
-               (half + half // 2, half // 2), (half + half // 2, half + half // 2)]
-    for i, cls in enumerate(labels):
-        cy, cx = centers[cls % len(centers)]
-        cy += rng.normal(0, 1.0)
-        cx += rng.normal(0, 1.0)
-        blob = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * (image_size / 8) ** 2))
-        images[i] += blob[None, :, :] * 2.0
-    images = (images - images.mean()) / (images.std() + 1e-8)
-    return Dataset(images.astype(np.float32), labels.astype(np.int64))

@@ -32,6 +32,7 @@ __all__ = [
     "BACKWARD_WEIGHT",
     "sample_model_tensors",
     "MIXTURE_PREFIX",
+    "MIXTURE_TAIL_LOG2",
     "TENSOR_DUMP_PREFIX",
     "parse_mixture_source",
     "sample_mixture_operands",
@@ -147,6 +148,11 @@ BACKWARD_WEIGHT = TensorModel("lognormal", scale=0.05, log2_scale_sigma=0.8)
 # a changed dump file as a new source name.
 
 MIXTURE_PREFIX = "mixture:"
+# Headroom for the base family's own tail, in octaves: at scale 1 a Laplace
+# draw reaches 2**5 = 32 with probability e**-45, a normal one with ~1e-224
+# and a uniform one never. A mixture whose shifted outliers plus this tail
+# reach the operand format's largest finite value is rejected at spec build.
+MIXTURE_TAIL_LOG2 = 5
 TENSOR_DUMP_PREFIX = "tensor-dump:"
 
 _MIXTURE_RE = re.compile(

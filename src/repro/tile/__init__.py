@@ -27,7 +27,3 @@ __all__ = [
     "chunks_per_output", "layer_ip_ops",
     "product_exponents_from_tensors", "sample_product_exponents",
 ]
-
-from repro.tile.tile import QueuedLayerPerf, buffer_depth_sweep, simulate_layer_queued
-
-__all__ += ["QueuedLayerPerf", "buffer_depth_sweep", "simulate_layer_queued"]

@@ -13,8 +13,9 @@ Execution model (paper §3.2-3.3, §4.1):
   tile processes ``n_tiles * ipus_per_tile`` inner products per step.
 
 The per-layer expected step cost is estimated from sampled product
-exponents; :mod:`repro.tile.cluster` provides the finite-buffer queue
-simulation used to validate the infinite-buffer assumption.
+exponents. The finite-buffer queue of :mod:`repro.tile.cluster`, fed the
+same sampled step costs, checks the adequate-buffering assumption in the
+test suite.
 
 Sample once, cost many. A product's serve cycle ``ceil(s / sp) - 1`` never
 decreases as its shift ``s`` grows, so an IPU's cycle count is the serve

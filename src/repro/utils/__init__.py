@@ -1,4 +1,4 @@
-"""Shared helpers: bit manipulation, exact fixed point, tables, RNG."""
+"""Shared helpers: bit manipulation, tables, RNG."""
 
 from repro.utils.bits import (
     bit_length_signed,
@@ -14,7 +14,6 @@ from repro.utils.bits import (
     sign_extend,
     to_twos_complement,
 )
-from repro.utils.fixedpoint import FixedPoint
 from repro.utils.rng import as_generator, spawn
 from repro.utils.table import format_cell, render_table
 
@@ -22,5 +21,5 @@ __all__ = [
     "bit_length_signed", "ceil_log2", "clz", "floor_div_pow2",
     "from_twos_complement", "get_field", "mask", "popcount",
     "round_to_nearest_even", "set_field", "sign_extend", "to_twos_complement",
-    "FixedPoint", "as_generator", "spawn", "format_cell", "render_table",
+    "as_generator", "spawn", "format_cell", "render_table",
 ]

@@ -183,3 +183,13 @@ class TestDesignSweepSpec:
     def test_rejects_invalid_samples_at_load_time(self):
         with pytest.raises(ValueError, match="samples"):
             DesignSweepSpec.from_json('{"designs": ["MC-IPU4"], "samples": 0}')
+
+    def test_rejects_points_past_the_int64_bound_at_load_time(self):
+        """Explicit and design-derived precisions are checked against the
+        accuracy template's lane count (RunSpec's 16 when unset)."""
+        for body in ({"designs": ["MC-IPU4"], "precisions": [{"adder_width": 64}]},
+                     {"designs": ["mc-ipu:4x4@64b"]}):
+            with pytest.raises(ValueError, match="overflows the int64"):
+                DesignSweepSpec.from_dict(body)
+        one_lane = {"n": 1, "sources": ["laplace"]}
+        assert DesignSweepSpec(designs=("mc-ipu:4x4@64b",), accuracy=one_lane).designs

@@ -113,6 +113,12 @@ class TestRunSpec:
         with pytest.raises(ValueError, match="overflows"):
             RunSpec(points=(PrecisionPoint(64),), n=16)
         assert RunSpec(points=(PrecisionPoint(60),), n=16).points
+        # outliers plus the base family's 2**5 tail must fit the operand format
+        with pytest.raises(ValueError, match="overflows fp16"):
+            RunSpec(sources=("mixture:laplace+outliers@0.05/11",))
+        assert RunSpec(sources=("mixture:laplace+outliers@0.05/10.9",)).sources
+        assert RunSpec(sources=("mixture:laplace+outliers@0.05/30",),
+                       operand_format="fp32").sources
 
     def test_engine_field(self):
         """The kernel engine is fixed: a legacy ``"engine"`` key in spec JSON

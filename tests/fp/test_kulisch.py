@@ -1,11 +1,14 @@
-"""Exactness of the Kulisch-style accumulator."""
+"""Exactness of the Kulisch-style accumulator and its exact decode."""
+
+from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fp.formats import FP16, FP32
-from repro.fp.kulisch import KulischAccumulator, exact_inner_product_bits
+from repro.fp.kulisch import KulischAccumulator, decode_exact, exact_inner_product_bits
 
 finite_fp16 = st.integers(min_value=0, max_value=(1 << 16) - 1).filter(
     lambda b: np.isfinite(np.uint16(b).view(np.float16))
@@ -48,17 +51,12 @@ class TestKulischExactness:
     @given(st.lists(st.tuples(finite_fp16, finite_fp16), min_size=1, max_size=24))
     def test_matches_exact_rational_sum(self, pairs):
         """The Kulisch register must equal the exact dyadic-rational sum."""
-        from repro.utils.fixedpoint import FixedPoint
-
         acc = KulischAccumulator(FP16)
-        exact = FixedPoint.zero()
         for x, y in pairs:
             acc.add_product(x, y)
-            exact = exact + (
-                FixedPoint.from_float(FP16.decode_value(x))
-                * FixedPoint.from_float(FP16.decode_value(y))
-            )
-        assert FixedPoint(acc.register, acc.scale) == exact
+        exact = sum(Fraction(FP16.decode_value(x)) * Fraction(FP16.decode_value(y))
+                    for x, y in pairs)
+        assert acc.register * Fraction(2) ** acc.scale == exact
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(finite_fp16, finite_fp16), min_size=1, max_size=8))
@@ -75,3 +73,15 @@ class TestKulischExactness:
         acc.add_product(FP16.encode_value(2.0), FP16.encode_value(3.0))
         acc.reset()
         assert acc.to_float() == 0.0 and acc.count == 0
+
+
+class TestDecodeExact:
+    def test_value_reconstruction(self):
+        for v in (1.0, -1.5, 0.099976, 65504.0, 6e-8):
+            bits = FP16.encode_value(v)
+            sig, scale = decode_exact(FP16, bits)
+            assert sig * 2.0**scale == FP16.decode_value(bits)
+
+    def test_rejects_inf(self):
+        with pytest.raises(ValueError):
+            decode_exact(FP16, FP16.inf_bits(0))

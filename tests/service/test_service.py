@@ -116,6 +116,27 @@ class TestHTTPRoundTrips:
         assert "overflows" in str(err.value)
         assert client.health()["ok"] is True
 
+    def test_specs_that_would_fail_inside_the_job_are_400(self, client):
+        """Each of these used to get 202 and then a job in ``error``."""
+        pareto = json.loads((Path(__file__).resolve().parents[2] / "examples"
+                             / "specs" / "design_pareto.json").read_text())
+        bad = [
+            # an explicit point past the int64 adder-tree bound at the
+            # design session's default 16 lanes
+            ("design-sweep", {**pareto, "designs": ["MC-IPU4"],
+                              "precisions": [{"adder_width": 64}]}),
+            # outliers shifted 2**30 overflow fp16 operands
+            ("sweep", {**SPEC.to_dict(), "operand_format": "fp16",
+                       "sources": ["mixture:laplace+outliers@0.05/30"]}),
+        ]
+        before = client.stats()["jobs"]["total"]
+        for kind, body in bad:
+            with pytest.raises(ServiceError) as err:
+                client.submit(body, kind=kind)
+            assert err.value.status == 400
+            assert "overflows" in str(err.value)
+        assert client.stats()["jobs"]["total"] == before
+
     def test_failing_job_reports_error_status(self, client):
         # an empty grid parses but fails at run time -> job status "error"
         ticket = client.submit(RunSpec(name="empty", sources=("laplace",)))

@@ -1,46 +1,9 @@
-"""Integrated finite-buffer tile model and the batched INT kernel."""
+"""The batched INT-mode inner-product kernel."""
 
 import numpy as np
 import pytest
 
 from repro.ipu.vectorized import int_dot_batch
-from repro.nn.zoo import resnet18_convs
-from repro.tile.config import SMALL_TILE
-from repro.tile.tile import buffer_depth_sweep, simulate_layer_queued
-
-LAYER = resnet18_convs()[6]
-
-
-class TestQueuedLayer:
-    @pytest.fixture(scope="class")
-    def queued(self):
-        return simulate_layer_queued(
-            LAYER, SMALL_TILE.with_precision(12, 4), 28,
-            buffer_depth=4, max_steps=400, rng=0,
-        )
-
-    def test_finite_buffers_never_beat_decoupled(self, queued):
-        assert queued.slowdown_vs_decoupled >= 0.97
-
-    def test_finite_buffers_bounded_overhead(self, queued):
-        """Depth-4 buffers stay within ~20% of the decoupled estimate —
-        the premise behind the statistical simulator."""
-        assert queued.slowdown_vs_decoupled <= 1.25
-
-    def test_deeper_buffers_never_slower(self):
-        sweep = buffer_depth_sweep(
-            LAYER, SMALL_TILE.with_precision(12, 4), 28,
-            depths=(1, 4, 16), rng=1,
-        )
-        cycles = [q.cycles for q in sweep]
-        # sampled independently per depth: allow small statistical noise
-        assert cycles[0] >= cycles[-1] * 0.95
-
-    def test_stall_fraction_in_range(self, queued):
-        assert 0.0 <= queued.stall_fraction <= 1.0
-
-    def test_scaling_to_true_steps(self, queued):
-        assert queued.cycles >= queued.decoupled.steps  # >= 1 cycle per step
 
 
 class TestIntDotBatch:

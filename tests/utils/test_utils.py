@@ -1,4 +1,4 @@
-"""Bit helpers, exact fixed point, tables, RNG."""
+"""Bit helpers, tables, RNG."""
 
 import numpy as np
 import pytest
@@ -19,7 +19,6 @@ from repro.utils.bits import (
     sign_extend,
     to_twos_complement,
 )
-from repro.utils.fixedpoint import FixedPoint
 from repro.utils.rng import as_generator, spawn
 from repro.utils.table import format_cell, render_table
 
@@ -86,39 +85,6 @@ class TestBits:
         assert popcount(0b1011) == 3
         with pytest.raises(ValueError):
             popcount(-1)
-
-
-class TestFixedPoint:
-    def test_float_round_trip(self):
-        for v in (0.0, 1.5, -3.25, 2**-30, 65504.0):
-            assert FixedPoint.from_float(v).to_float() == v
-
-    def test_rejects_nan_inf(self):
-        with pytest.raises(ValueError):
-            FixedPoint.from_float(float("nan"))
-        with pytest.raises(ValueError):
-            FixedPoint.from_float(float("inf"))
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(-1000, 1000), st.integers(-20, 20),
-           st.integers(-1000, 1000), st.integers(-20, 20))
-    def test_exact_arithmetic(self, s1, e1, s2, e2):
-        a, b = FixedPoint(s1, e1), FixedPoint(s2, e2)
-        assert (a + b).to_float() == pytest.approx(a.to_float() + b.to_float(), rel=1e-12)
-        assert (a * b).to_float() == pytest.approx(a.to_float() * b.to_float(), rel=1e-12)
-        assert (a - b) + b == a
-
-    def test_equality_normalizes(self):
-        assert FixedPoint(2, 0) == FixedPoint(1, 1)
-        assert FixedPoint(0, 5) == FixedPoint(0, -7)
-        assert hash(FixedPoint(2, 0)) == hash(FixedPoint(1, 1))
-
-    def test_truncation_floor(self):
-        assert FixedPoint(-3, -1).truncated_to_scale(0) == FixedPoint(-2, 0)
-        assert FixedPoint(3, -1).truncated_to_scale(0) == FixedPoint(1, 0)
-
-    def test_shift_exact(self):
-        assert FixedPoint(5, 0).shifted(3).to_float() == 5 / 8
 
 
 class TestTable:
