@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.zoo import resnet18_convs
 from repro.tile.cluster import simulate_tile_queue
-from repro.tile.config import SMALL_TILE
-from repro.tile.simulator import FP16_ITERATIONS, simulate_layer, step_cycle_samples
-from repro.tile.workload import sample_product_exponents
 
 
 class TestQueueLimits:
@@ -73,24 +69,3 @@ class TestQueueLimits:
         assert deep <= statistical + cluster_costs.shape[0]
         assert shallow >= statistical - cluster_costs.shape[0]
 
-
-class TestFig8BufferingPremise:
-    """Figure 8's statistical simulator assumes decoupled clusters. On a real
-    layer, the queue with depth-4 local buffers must stay close to it."""
-
-    def test_depth4_tracks_decoupled_estimate(self):
-        layer = resnet18_convs()[6]
-        tile = SMALL_TILE.with_precision(12, 4)
-        rng = np.random.default_rng(0)
-        decoupled = simulate_layer(layer, tile, 28, samples=400, rng=rng)
-        steps = min(decoupled.steps, 400)
-        n_clusters = tile.ipus_per_tile // tile.effective_cluster_size
-        exps = sample_product_exponents(
-            layer, tile.c_unroll, tile.effective_cluster_size, steps * n_clusters,
-            direction="forward", rng=rng)
-        costs = step_cycle_samples(exps, tile.adder_width, 28) * FP16_ITERATIONS
-        res = simulate_tile_queue(costs.reshape(steps, n_clusters), buffer_depth=4)
-        # the queue runs a prefix of the layer's steps; scale it to all of them
-        slowdown = res.total_cycles * decoupled.steps / steps / decoupled.cycles
-        assert 0.97 <= slowdown <= 1.25
-        assert 0.0 <= res.stall_fraction <= 1.0
